@@ -36,7 +36,7 @@
 //   --full                 run the complete ATM system (terrain, display,
 //                          advisory, sporadic) instead of the core tasks
 //   --retrace ID           after the run, print aircraft ID's last 16
-//                          recorded positions (core pipeline only)
+//                          recorded positions
 //   --trace FILE.jsonl     write one JSONL trace event per line (spans,
 //                          tasks, deadline outcomes); summarize with
 //                          tools/trace_summary.py
@@ -248,48 +248,35 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (full_system) {
-    tasks::extended::FullSystemConfig cfg =
-        tasks::make_full_config(chosen, cycles, seed);
-    if (aircraft_override > 0) cfg.aircraft = aircraft_override;
-    cfg.multi_radar = multi_radar;
-    std::cout << "aircraft : " << cfg.aircraft << "\nmode     : complete "
-              << "ATM system" << (multi_radar ? " + multi-tower radar" : "")
-              << "\n\n";
-    // The full-system executive has its own config type; attach the sink
-    // straight to the backend so every task entry point still emits.
-    if (trace) backend->set_trace_sink(trace.get());
-    const auto result = tasks::extended::run_full_system(*backend, cfg);
-    if (trace) {
-      backend->set_trace_sink(nullptr);
-      trace->flush();
-    }
-    std::cout << result.monitor.summary() << "\n";
-    if (governor) {
-      std::cout << "governor : final level " << result.final_governor_level
-                << ", " << result.sporadic_shed << " query batches shed\n";
-    }
-    const auto bad =
-        result.monitor.total_missed() + result.monitor.total_skipped();
-    std::cout << (bad == 0 ? "all deadlines met\n"
-                           : std::to_string(bad) + " missed/skipped\n");
-    return bad == 0 ? 0 : 1;
-  }
-
-  tasks::PipelineConfig cfg =
-      tasks::make_pipeline_config(chosen, cycles, seed);
+  // Both executives run on one period loop and read the same config
+  // fields; the full system's config and result extend the pipeline's.
+  tasks::extended::FullSystemConfig cfg =
+      tasks::make_full_config(chosen, cycles, seed);
   if (aircraft_override > 0) cfg.aircraft = aircraft_override;
-  std::cout << "aircraft : " << cfg.aircraft << "\nmode     : core tasks\n\n";
-  airfield::FlightRecorder recorder(cfg.aircraft,
-                                    16 * std::max(1, cycles));
+  cfg.multi_radar = multi_radar;
+  std::cout << "aircraft : " << cfg.aircraft << "\nmode     : "
+            << (!full_system  ? "core tasks"
+                : multi_radar ? "complete ATM system + multi-tower radar"
+                              : "complete ATM system")
+            << "\n\n";
+  airfield::FlightRecorder recorder(cfg.aircraft, 16 * std::max(1, cycles));
   cfg.recorder = &recorder;
   cfg.trace = trace.get();
-  const tasks::PipelineResult result = tasks::run_pipeline(*backend, cfg);
+  tasks::extended::FullSystemResult result;
+  if (full_system) {
+    result = tasks::extended::run_full_system(*backend, cfg);
+  } else {
+    static_cast<tasks::PipelineResult&>(result) =
+        tasks::run_pipeline(*backend, cfg);
+  }
   std::cout << result.deadlines().summary() << "\n";
   if (governor) {
     std::cout << "governor : " << result.governor_degrades << " degrades, "
               << result.governor_recovers << " recovers, final level "
-              << result.final_governor_level << "\n";
+              << result.final_governor_level
+              << (full_system ? ", " + std::to_string(result.sporadic_shed) +
+                                    " query batches shed\n"
+                              : "\n");
   }
 
   if (retrace_id >= 0) {
@@ -306,8 +293,7 @@ int main(int argc, char** argv) {
     }
     std::cout << track;
   }
-  const auto bad =
-      result.deadlines().total_missed() + result.deadlines().total_skipped();
+  const auto bad = result.missed_or_skipped();
   std::cout << (bad == 0 ? "all deadlines met\n"
                          : std::to_string(bad) + " missed/skipped\n");
   return bad == 0 ? 0 : 1;

@@ -71,8 +71,7 @@ int main(int argc, char** argv) {
             << " occupied sectors, busiest holds "
             << result.last_display.max_occupancy << "\n\n";
 
-  const auto bad =
-      result.monitor.total_missed() + result.monitor.total_skipped();
+  const auto bad = result.missed_or_skipped();
   std::cout << (bad == 0
                     ? "the complete system is viable: every deadline met.\n"
                     : "deadlines missed/skipped: " + std::to_string(bad) +

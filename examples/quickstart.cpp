@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
             << " critical, " << result.last_task23.resolved << " resolved, "
             << result.last_task23.unresolved << " unresolved\n\n";
 
-  if (result.deadlines().total_missed() + result.deadlines().total_skipped() == 0) {
+  if (result.all_deadlines_met()) {
     std::cout << "every deadline met — the paper's CUDA result.\n";
   } else {
     std::cout << "deadlines missed: " << result.deadlines().total_missed()

@@ -7,6 +7,7 @@
 #include "src/atm/extended/multiradar.hpp"
 #include "src/atm/extended/sporadic.hpp"
 #include "src/atm/extended/terrain_task.hpp"
+#include "src/atm/sharded.hpp"
 #include "src/rt/clock.hpp"
 
 namespace atm::tasks {
@@ -38,68 +39,83 @@ void Backend::emit_task_event(std::string_view task, double modeled_ms,
   trace_->record(ev);
 }
 
-void Backend::emit_sector_counter(std::string_view counter, int sector,
-                                  std::uint64_t value) {
+void Backend::emit_sector_counters(
+    std::string_view task, const sharded::ShardTelemetry& telemetry) {
   if (trace_ == nullptr) return;
+  const std::string owned = std::string(task) + ".sector_owned";
+  const std::string candidates = std::string(task) + ".sector_candidates";
   obs::TraceEvent ev;
   ev.kind = obs::EventKind::kCounter;
-  ev.name = counter;
   ev.backend = name();
   ev.cycle = trace_cycle_;
   ev.period = trace_period_;
-  ev.sector = sector;
-  ev.value = value;
-  trace_->record(ev);
+  for (std::size_t s = 0; s < telemetry.sector_owned.size(); ++s) {
+    ev.sector = static_cast<int>(s);
+    ev.name = owned;
+    ev.value = telemetry.sector_owned[s];
+    trace_->record(ev);
+    ev.name = candidates;
+    ev.value = telemetry.sector_candidates[s];
+    trace_->record(ev);
+  }
+}
+
+namespace {
+
+/// The detail fields the host paths of Task 1 and Tasks 2+3 share.
+template <typename Detail, typename Stats, typename Params>
+Detail host_detail(const Stats& stats, const Params& params) {
+  Detail detail;
+  detail.broadphase = core::spatial::to_string(params.broadphase);
+  detail.shard = core::spatial::to_string(params.shard);
+  if (stats.sectors > 0) {
+    detail.sectors = stats.sectors;
+    detail.halo_candidates = static_cast<std::int64_t>(stats.halo_candidates);
+  }
+  if (stats.kernel >= 0) {
+    detail.kernel =
+        core::kern::to_string(static_cast<core::kern::Kernel>(stats.kernel));
+    detail.lanes_masked = static_cast<std::int64_t>(stats.lanes_masked);
+  }
+  return detail;
+}
+
+}  // namespace
+
+template <typename Hook, typename DetailOf>
+auto Backend::traced(std::string_view task, Hook&& hook, DetailOf detail_of) {
+  if (trace_ == nullptr) return hook();
+  const rt::Stopwatch sw;
+  auto result = hook();
+  const TaskEventDetail detail = detail_of(result);
+  emit_task_event(task, result.modeled_ms, sw.elapsed_ms(), detail);
+  return result;
 }
 
 Task1Result Backend::run_task1(airfield::RadarFrame& frame,
                                const Task1Params& params) {
-  if (trace_ == nullptr) return do_run_task1(frame, params);
-  const rt::Stopwatch sw;
-  const Task1Result result = do_run_task1(frame, params);
-  TaskEventDetail detail;
-  detail.passes = result.stats.passes;
-  detail.broadphase = core::spatial::to_string(params.broadphase);
-  detail.shard = core::spatial::to_string(params.shard);
-  if (result.stats.sectors > 0) {
-    detail.sectors = result.stats.sectors;
-    detail.halo_candidates =
-        static_cast<std::int64_t>(result.stats.halo_candidates);
-  }
-  detail.box_tests = static_cast<std::int64_t>(result.stats.box_tests);
-  if (result.stats.kernel >= 0) {
-    detail.kernel = core::kern::to_string(
-        static_cast<core::kern::Kernel>(result.stats.kernel));
-    detail.lanes_masked = static_cast<std::int64_t>(result.stats.lanes_masked);
-  }
-  emit_task_event("task1", result.modeled_ms, sw.elapsed_ms(), detail);
-  return result;
+  return traced(
+      "task1", [&] { return do_run_task1(frame, params); },
+      [&](const Task1Result& r) {
+        auto detail = host_detail<TaskEventDetail>(r.stats, params);
+        detail.passes = r.stats.passes;
+        detail.box_tests = static_cast<std::int64_t>(r.stats.box_tests);
+        return detail;
+      });
 }
 
 Task23Result Backend::run_task23(const Task23Params& params) {
-  if (trace_ == nullptr) return do_run_task23(params);
-  const rt::Stopwatch sw;
-  const Task23Result result = do_run_task23(params);
-  TaskEventDetail detail;
-  detail.conflicts = static_cast<std::int64_t>(result.stats.conflicts);
-  detail.resolved = static_cast<std::int64_t>(result.stats.resolved);
-  detail.broadphase = core::spatial::to_string(params.broadphase);
-  detail.shard = core::spatial::to_string(params.shard);
-  if (result.stats.sectors > 0) {
-    detail.sectors = result.stats.sectors;
-    detail.halo_candidates =
-        static_cast<std::int64_t>(result.stats.halo_candidates);
-  }
-  detail.pair_candidates =
-      static_cast<std::int64_t>(result.stats.pair_candidates);
-  detail.pair_tests = static_cast<std::int64_t>(result.stats.pair_tests);
-  if (result.stats.kernel >= 0) {
-    detail.kernel = core::kern::to_string(
-        static_cast<core::kern::Kernel>(result.stats.kernel));
-    detail.lanes_masked = static_cast<std::int64_t>(result.stats.lanes_masked);
-  }
-  emit_task_event("task23", result.modeled_ms, sw.elapsed_ms(), detail);
-  return result;
+  return traced(
+      "task23", [&] { return do_run_task23(params); },
+      [&](const Task23Result& r) {
+        auto detail = host_detail<TaskEventDetail>(r.stats, params);
+        detail.conflicts = static_cast<std::int64_t>(r.stats.conflicts);
+        detail.resolved = static_cast<std::int64_t>(r.stats.resolved);
+        detail.pair_candidates =
+            static_cast<std::int64_t>(r.stats.pair_candidates);
+        detail.pair_tests = static_cast<std::int64_t>(r.stats.pair_tests);
+        return detail;
+      });
 }
 
 airfield::RadarFrame Backend::generate_radar(
@@ -115,48 +131,32 @@ airfield::RadarFrame Backend::generate_radar(
 }
 
 TerrainResult Backend::run_terrain(const TerrainTaskParams& params) {
-  if (trace_ == nullptr) return do_run_terrain(params);
-  const rt::Stopwatch sw;
-  const TerrainResult result = do_run_terrain(params);
-  emit_task_event("terrain", result.modeled_ms, sw.elapsed_ms(), {});
-  return result;
+  return traced("terrain", [&] { return do_run_terrain(params); });
 }
 
 DisplayResult Backend::run_display(const DisplayParams& params) {
-  if (trace_ == nullptr) return do_run_display(params);
-  const rt::Stopwatch sw;
-  const DisplayResult result = do_run_display(params);
-  emit_task_event("display", result.modeled_ms, sw.elapsed_ms(), {});
-  return result;
+  return traced("display", [&] { return do_run_display(params); });
 }
 
 AdvisoryResult Backend::run_advisory(const AdvisoryParams& params) {
-  if (trace_ == nullptr) return do_run_advisory(params);
-  const rt::Stopwatch sw;
-  AdvisoryResult result = do_run_advisory(params);
-  emit_task_event("advisory", result.modeled_ms, sw.elapsed_ms(), {});
-  return result;
+  return traced("advisory", [&] { return do_run_advisory(params); });
 }
 
 MultiRadarResult Backend::run_multi_task1(airfield::MultiRadarFrame& frame,
                                           const Task1Params& params) {
-  if (trace_ == nullptr) return do_run_multi_task1(frame, params);
-  const rt::Stopwatch sw;
-  const MultiRadarResult result = do_run_multi_task1(frame, params);
-  TaskEventDetail detail;
-  detail.passes = result.stats.passes;
-  detail.box_tests = static_cast<std::int64_t>(result.stats.box_tests);
-  emit_task_event("multi_task1", result.modeled_ms, sw.elapsed_ms(), detail);
-  return result;
+  return traced(
+      "multi_task1", [&] { return do_run_multi_task1(frame, params); },
+      [](const MultiRadarResult& r) {
+        TaskEventDetail detail;
+        detail.passes = r.stats.passes;
+        detail.box_tests = static_cast<std::int64_t>(r.stats.box_tests);
+        return detail;
+      });
 }
 
 SporadicResult Backend::run_sporadic(std::span<const Query> queries,
                                      const SporadicParams& params) {
-  if (trace_ == nullptr) return do_run_sporadic(queries, params);
-  const rt::Stopwatch sw;
-  SporadicResult result = do_run_sporadic(queries, params);
-  emit_task_event("sporadic", result.modeled_ms, sw.elapsed_ms(), {});
-  return result;
+  return traced("sporadic", [&] { return do_run_sporadic(queries, params); });
 }
 
 void Backend::set_terrain(

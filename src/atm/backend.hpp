@@ -34,6 +34,10 @@
 
 namespace atm::tasks {
 
+namespace sharded {
+struct ShardTelemetry;
+}  // namespace sharded
+
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -156,12 +160,13 @@ class Backend {
     return terrain_.get();
   }
 
-  /// Emit one per-sector kCounter event (e.g. "task23.sector_owned") when
-  /// a sink is attached; no-op otherwise. The sharded host backends call
-  /// this once per sector after a sharded run so sinks can roll up load
+  /// Emit the per-sector kCounter events of one sharded run of `task`
+  /// ("<task>.sector_owned" then "<task>.sector_candidates", sector by
+  /// sector) when a sink is attached; no-op otherwise. The sharded host
+  /// backends call this after a sharded run so sinks can roll up load
   /// balance per sector.
-  void emit_sector_counter(std::string_view counter, int sector,
-                           std::uint64_t value);
+  void emit_sector_counters(std::string_view task,
+                            const sharded::ShardTelemetry& telemetry);
 
  private:
   /// Optional outcome/work detail attached to a kTask event. Sentinel
@@ -184,6 +189,15 @@ class Backend {
   /// Shared helper: emit one kTask event (only called with a sink).
   void emit_task_event(std::string_view task, double modeled_ms,
                        double measured_ms, const TaskEventDetail& detail);
+
+  struct NoDetail {
+    TaskEventDetail operator()(const auto& /*result*/) const { return {}; }
+  };
+
+  /// Run a task hook; with a sink attached, time it and emit its task
+  /// event with the detail `detail_of(result)`.
+  template <typename Hook, typename DetailOf = NoDetail>
+  auto traced(std::string_view task, Hook&& hook, DetailOf detail_of = {});
 
   std::shared_ptr<const airfield::TerrainMap> terrain_;
   obs::TraceSink* trace_ = nullptr;

@@ -4,163 +4,97 @@
 
 #include "src/airfield/setup.hpp"
 #include "src/atm/degrade.hpp"
+#include "src/atm/executive.hpp"
 #include "src/atm/extended/sporadic.hpp"
-#include "src/core/units.hpp"
-#include "src/rt/clock.hpp"
-#include "src/rt/schedule.hpp"
 
 namespace atm::tasks::extended {
 
 FullSystemResult run_full_system(Backend& backend,
                                  const FullSystemConfig& cfg) {
-  FullSystemResult result;
-  backend.load(airfield::make_airfield(cfg.aircraft, cfg.seed, cfg.setup));
+  if (!cfg.preloaded) {
+    backend.load(airfield::make_airfield(cfg.aircraft, cfg.seed, cfg.setup));
+  }
   backend.set_terrain(std::make_shared<const airfield::TerrainMap>(
       cfg.terrain_seed, cfg.terrain_map));
-
   std::vector<airfield::RadarTower> towers;
   if (cfg.multi_radar) {
     towers = airfield::make_tower_layout(cfg.seed ^ 0x70BE25ULL, cfg.towers);
   }
 
-  rt::VirtualClock clock;
-  const rt::MajorCycleSchedule schedule =
-      rt::MajorCycleSchedule::paper_schedule();
-  const double period_ms = schedule.period_ms();
-  core::Rng radar_rng(cfg.seed ^ 0x4ADA1257A3ABCDEFULL);
+  FullSystemResult result;
   core::Rng query_rng(cfg.seed ^ 0x5B0AAD1C00FFEE11ULL);
-  rt::FaultInjector faults(cfg.faults, cfg.seed);
-  rt::Governor governor(cfg.governor, degradation_ladder());
+  airfield::MultiRadarFrame multi_frame;
+  std::vector<Query> batch;
+  const detail::PaperSteps paper = detail::paper_steps(backend, cfg, result);
 
-  // Any non-met outcome in the current period; feeds the governor.
-  bool trouble = false;
-
-  // Runs one task under deadline accounting; returns false when the task
-  // had to be skipped (its period had already ended).
-  const auto timed = [&](const char* name, double deadline_ms, auto&& fn) {
-    if (clock.now_ms() >= deadline_ms) {
-      result.monitor.record_skip(name);
-      trouble = true;
-      return false;
-    }
-    const double ms = fn();
-    if (result.monitor.record(name, clock.now_ms(), ms, deadline_ms) !=
-        rt::Outcome::kMet) {
-      trouble = true;
-    }
-    clock.advance_ms(ms);
-    return true;
-  };
-
-  int global_period = 0;
-  for (int cycle = 0; cycle < cfg.major_cycles; ++cycle) {
-    for (int period = 0; period < schedule.periods_per_cycle(); ++period) {
-      const double period_start =
-          static_cast<double>(global_period) * period_ms;
-      const double deadline = period_start + period_ms;
-      trouble = false;
-
-      // Degrade the task parameters to the governor's current ladder
-      // level (level 0 copies the baseline untouched).
-      Task1Params task1_params = cfg.task1;
-      Task23Params task23_params = cfg.task23;
-      apply_degradation(governor.level(), task1_params, task23_params);
-
-      // Stolen host time (fault injection) preempts the executive before
-      // the period's first task; on the virtual clock this is exact and
-      // deterministic.
-      const double stolen_ms = faults.steal_ms();
-      if (stolen_ms > 0.0) clock.advance_ms(stolen_ms);
-
-      // Radar creation precedes the period (untimed, Section 4.2).
-      airfield::RadarFrame frame;
-      airfield::MultiRadarFrame multi_frame;
-      if (cfg.multi_radar) {
-        multi_frame = airfield::generate_multi_radar(
-            backend.state(), towers, radar_rng, cfg.radar);
-        result.mean_coverage =
-            airfield::mean_coverage(multi_frame, cfg.aircraft);
-      } else {
-        frame = backend.generate_radar(radar_rng, cfg.radar, nullptr);
-        faults.apply(frame);
-      }
-
-      // Tracking & correlation.
-      timed("task1", deadline, [&] {
-        if (cfg.multi_radar) {
-          const MultiRadarResult r =
-              backend.run_multi_task1(multi_frame, task1_params);
-          result.last_multi = r.stats;
-          return r.modeled_ms;
-        }
-        const Task1Result r = backend.run_task1(frame, task1_params);
-        result.last_task1 = r.stats;
-        return r.modeled_ms;
-      });
-
-      if (cfg.apply_reentry) {
-        airfield::apply_reentry_all(backend.mutable_state());
-      }
-
-      // Display update, every period.
-      timed("display", deadline, [&] {
-        const DisplayResult r = backend.run_display(cfg.display);
-        result.last_display = r.stats;
-        return r.modeled_ms;
-      });
-
-      // Sporadic controller queries, every period (arrival is simulation
-      // scaffolding; answering is the ATM task). The governor's deepest
-      // rung sheds the whole batch — the queries still *arrive* (the rng
-      // draw keeps the stream aligned) but are not answered, so shedding
-      // never perturbs what a recovered period computes.
-      if (cfg.sporadic.queries_per_batch > 0) {
-        const std::vector<Query> batch =
-            make_query_batch(backend.state(), query_rng, cfg.sporadic,
-                             cfg.display.sectors_per_axis);
-        if (degradation_sheds_sporadic(governor.level())) {
-          ++result.sporadic_shed;
-        } else {
-          timed("sporadic", deadline, [&] {
-            const SporadicResult r =
-                backend.run_sporadic(batch, cfg.sporadic);
-            result.last_sporadic = r.stats;
-            return r.modeled_ms;
-          });
-        }
-      }
-
-      // Collision detection & resolution + terrain, end of cycle.
-      if (period == schedule.periods_per_cycle() - 1) {
-        timed("task23", deadline, [&] {
-          const Task23Result r = backend.run_task23(task23_params);
-          result.last_task23 = r.stats;
-          return r.modeled_ms;
-        });
-        timed("terrain", deadline, [&] {
-          const TerrainResult r = backend.run_terrain(cfg.terrain);
-          result.last_terrain = r.stats;
-          return r.modeled_ms;
-        });
-      }
-
-      // Automatic voice advisory, every advisory_every_periods.
-      if ((period + 1) % cfg.advisory_every_periods == 0) {
-        timed("advisory", deadline, [&] {
-          AdvisoryResult r = backend.run_advisory(cfg.advisory);
-          result.last_advisory = r.stats;
-          result.last_queue = std::move(r.queue);
-          return r.modeled_ms;
-        });
-      }
-
-      governor.observe(clock.now_ms() - period_start, period_ms, trouble);
-      clock.advance_to_ms(deadline);
-      ++global_period;
-    }
+  std::vector<detail::Step> schedule;
+  if (cfg.multi_radar) {
+    schedule.push_back({.run = [&](detail::Period& p) {
+      multi_frame = airfield::generate_multi_radar(backend.state(), towers,
+                                                   p.radar_rng, cfg.radar);
+      result.mean_coverage =
+          airfield::mean_coverage(multi_frame, backend.aircraft_count());
+      return 0.0;
+    }});
+    schedule.push_back({.task = "task1", .run = [&](detail::Period& p) {
+                          const MultiRadarResult r =
+                              backend.run_multi_task1(multi_frame, p.task1);
+                          result.last_multi = r.stats;
+                          return r.modeled_ms;
+                        }});
+  } else {
+    schedule.push_back(paper.radar);
+    schedule.push_back(paper.task1);
   }
-  result.virtual_end_ms = clock.now_ms();
-  result.final_governor_level = governor.level();
+  schedule.push_back(paper.reentry);
+  schedule.push_back({.task = "display", .run = [&](detail::Period&) {
+                        const DisplayResult r = backend.run_display(cfg.display);
+                        result.last_display = r.stats;
+                        return r.modeled_ms;
+                      }});
+  if (cfg.sporadic.queries_per_batch > 0) {
+    // Query arrival is simulation scaffolding; answering is the ATM task.
+    // The governor's deepest rung sheds the answering, but the queries
+    // still arrive (the rng draw keeps the stream aligned), so shedding
+    // never perturbs what a recovered period computes.
+    schedule.push_back({.run = [&](detail::Period& p) {
+      batch = make_query_batch(backend.state(), query_rng, cfg.sporadic,
+                               cfg.display.sectors_per_axis);
+      if (degradation_sheds_sporadic(p.log.governor_level)) {
+        ++result.sporadic_shed;
+      }
+      return 0.0;
+    }});
+    schedule.push_back(
+        {.task = "sporadic",
+         .runs_at_level =
+             [](int level) { return !degradation_sheds_sporadic(level); },
+         .run = [&](detail::Period&) {
+           const SporadicResult r = backend.run_sporadic(batch, cfg.sporadic);
+           result.last_sporadic = r.stats;
+           return r.modeled_ms;
+         }});
+  }
+  schedule.push_back(paper.task23);
+  schedule.push_back({.task = "terrain",
+                      .every = core::kPeriodsPerMajorCycle,
+                      .at = core::kPeriodsPerMajorCycle - 1,
+                      .run = [&](detail::Period&) {
+                        const TerrainResult r = backend.run_terrain(cfg.terrain);
+                        result.last_terrain = r.stats;
+                        return r.modeled_ms;
+                      }});
+  schedule.push_back({.task = "advisory",
+                      .every = cfg.advisory_every_periods,
+                      .at = cfg.advisory_every_periods - 1,
+                      .run = [&](detail::Period&) {
+                        AdvisoryResult r = backend.run_advisory(cfg.advisory);
+                        result.last_advisory = r.stats;
+                        result.last_queue = std::move(r.queue);
+                        return r.modeled_ms;
+                      }});
+
+  detail::run_schedule(backend, cfg, schedule, result);
   return result;
 }
 

@@ -6,37 +6,35 @@
 // Extended schedule per 16-period major cycle:
 //
 //   every period     : Task 1 (tracking & correlation)  then
-//                      display update
-//   periods 7 and 15 : automatic voice advisory (every 4 s)
+//                      display update, then sporadic controller queries
 //   period 15        : Tasks 2+3 (collision detection & resolution), then
 //                      terrain avoidance
+//   periods 7 and 15 : automatic voice advisory (every 4 s)
 //
 // Optionally the radar environment is the unsimplified multi-tower one,
 // in which case the multi-return correlation replaces Task 1.
+//
+// The full system runs on run_pipeline's period loop, so every
+// PipelineConfig field (clock mode, trace, governor, faults, recorder,
+// preloaded) means the same here, and the result carries the same
+// PeriodLogs and governor counters as a PipelineResult.
 #pragma once
 
 #include <vector>
 
-#include "src/airfield/setup.hpp"
 #include "src/airfield/terrain.hpp"
 #include "src/airfield/towers.hpp"
-#include "src/atm/backend.hpp"
-#include "src/rt/deadline.hpp"
-#include "src/rt/faults.hpp"
-#include "src/rt/governor.hpp"
+#include "src/atm/pipeline.hpp"
 
 namespace atm::tasks::extended {
 
-struct FullSystemConfig {
-  std::size_t aircraft = 1000;
-  int major_cycles = 1;
-  std::uint64_t seed = 42;
+/// The paper pipeline's configuration plus the extended tasks. The
+/// governor's top rung additionally sheds the sporadic query task. Sensor
+/// faults corrupt the single-radar frame only; stolen time applies in
+/// both radar modes.
+struct FullSystemConfig : PipelineConfig {
   std::uint64_t terrain_seed = 99;
-  airfield::SetupParams setup;
-  airfield::RadarParams radar;
   airfield::TerrainParams terrain_map;
-  Task1Params task1;
-  Task23Params task23;
   TerrainTaskParams terrain;
   DisplayParams display;
   AdvisoryParams advisory;
@@ -48,34 +46,24 @@ struct FullSystemConfig {
   /// one-return simplification.
   bool multi_radar = false;
   airfield::TowerLayoutParams towers;
-  bool apply_reentry = true;
-  /// Deadline-aware overload governor (disabled by default). The full
-  /// system walks the same tasks::degradation_ladder() as run_pipeline,
-  /// and its top rung additionally sheds the sporadic query task.
-  rt::GovernorConfig governor;
-  /// Seeded fault injection (disabled by default). The single-radar mode
-  /// corrupts the frame like run_pipeline; stolen time advances the
-  /// virtual clock in both radar modes.
-  rt::FaultConfig faults;
 };
 
-struct FullSystemResult {
-  rt::DeadlineMonitor monitor;
-  Task1Stats last_task1;
+/// The pipeline result plus the extended tasks' outcomes: `monitor` holds
+/// one row per task of the schedule, and in multi-radar mode the Task 1
+/// columns of `periods` log the multi-return correlation.
+struct FullSystemResult : PipelineResult {
   MultiRadarStats last_multi;
-  Task23Stats last_task23;
   TerrainStats last_terrain;
   DisplayStats last_display;
   AdvisoryStats last_advisory;
   SporadicStats last_sporadic;
   std::vector<Advisory> last_queue;
-  double virtual_end_ms = 0.0;
   double mean_coverage = 0.0;  ///< Returns per aircraft (multi-radar mode).
-  int final_governor_level = 0;     ///< Ladder level at run end.
   std::uint64_t sporadic_shed = 0;  ///< Query batches the governor shed.
 };
 
-/// Load a fresh airfield + terrain into `backend` and run the full system.
+/// Load a fresh airfield (unless cfg.preloaded) and the terrain into
+/// `backend` and run the full system.
 FullSystemResult run_full_system(Backend& backend,
                                  const FullSystemConfig& cfg);
 

@@ -1,5 +1,6 @@
 #include "src/atm/mimd_backend.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 
@@ -41,6 +42,60 @@ void MimdBackend::load(const airfield::FlightDb& db) {
   eligible_.resize(n);
 }
 
+void MimdBackend::begin_correlation(airfield::RadarFrame& frame,
+                                    mimd::WorkCounters& work) {
+  db_.reset_correlation_state();
+  frame.reset_matches();
+  std::fill(amatch_.begin(), amatch_.end(), kNone);
+  pool_.parallel_for(0, db_.size(), kChunk, [&](std::size_t i) {
+    ex_[i] = db_.x[i] + db_.dx[i];
+    ey_[i] = db_.y[i] + db_.dy[i];
+  });
+  ++work.parallel_regions;
+}
+
+std::uint64_t MimdBackend::commit_tracks(const airfield::RadarFrame& frame,
+                                         mimd::WorkCounters& work) {
+  const auto took_return = [&](std::size_t a) {
+    return db_.rmatch[a] == static_cast<std::int8_t>(MatchState::kMatched) &&
+           amatch_[a] >= 0;
+  };
+  pool_.parallel_for(0, db_.size(), kChunk, [&](std::size_t a) {
+    if (took_return(a)) {
+      const auto r = static_cast<std::size_t>(amatch_[a]);
+      db_.x[a] = frame.rx[r];
+      db_.y[a] = frame.ry[r];
+    } else {
+      db_.x[a] = ex_[a];
+      db_.y[a] = ey_[a];
+    }
+  });
+  ++work.parallel_regions;
+  std::uint64_t matched = 0;
+  for (std::size_t a = 0; a < db_.size(); ++a) matched += took_return(a);
+  return matched;
+}
+
+std::size_t MimdBackend::mark_eligible() {
+  std::size_t count = 0;
+  for (std::size_t a = 0; a < db_.size(); ++a) {
+    const bool e =
+        db_.rmatch[a] == static_cast<std::int8_t>(MatchState::kUnmatched);
+    eligible_[a] = e ? 1 : 0;
+    count += e ? 1u : 0u;
+  }
+  return count;
+}
+
+double MimdBackend::model_work(mimd::WorkCounters work,
+                               std::uint64_t reader_ops) {
+  work.locked_ops = reader_ops + locks_.acquisitions();
+  work.contended = locks_.contended();
+  locks_.reset_counters();
+  last_work_ = work;
+  return model_.model_ms(work, jitter_rng_);
+}
+
 Task1Result MimdBackend::do_run_task1(airfield::RadarFrame& frame,
                                    const Task1Params& params) {
   const std::size_t n = db_.size();
@@ -59,19 +114,9 @@ Task1Result MimdBackend::do_run_task1(airfield::RadarFrame& frame,
                                                 shard_scratch_, params,
                                                 &telemetry);
     work.inner_ops = telemetry.inner_ops;
-    work.locked_ops = telemetry.gather_ops + locks_.acquisitions();
-    work.contended = locks_.contended();
     work.parallel_regions = telemetry.parallel_regions;
-    locks_.reset_counters();
-    last_work_ = work;
-    result.modeled_ms = model_.model_ms(work, jitter_rng_);
-    for (int s = 0; s < telemetry.sectors; ++s) {
-      emit_sector_counter("task1.sector_owned", s,
-                          telemetry.sector_owned[static_cast<std::size_t>(s)]);
-      emit_sector_counter(
-          "task1.sector_candidates", s,
-          telemetry.sector_candidates[static_cast<std::size_t>(s)]);
-    }
+    result.modeled_ms = model_work(work, telemetry.gather_ops);
+    emit_sector_counters("task1", telemetry);
     return result;
   }
 
@@ -88,16 +133,7 @@ Task1Result MimdBackend::do_run_task1(airfield::RadarFrame& frame,
   std::atomic<std::uint64_t> box_tests{0};
   std::atomic<std::uint64_t> lanes_masked{0};
 
-  db_.reset_correlation_state();
-  frame.reset_matches();
-  std::fill(amatch_.begin(), amatch_.end(), kNone);
-
-  // Expected positions (parallel region).
-  pool_.parallel_for(0, n, kChunk, [&](std::size_t i) {
-    ex_[i] = db_.x[i] + db_.dx[i];
-    ey_[i] = db_.y[i] + db_.dy[i];
-  });
-  ++work.parallel_regions;
+  begin_correlation(frame, work);
 
   const int total_passes = 1 + params.retries;
   for (int pass = 0; pass < total_passes; ++pass) {
@@ -116,13 +152,7 @@ Task1Result MimdBackend::do_run_task1(airfield::RadarFrame& frame,
     // the historical inline eligibility check and outcomes are identical.
     const bool use_grid =
         params.broadphase == core::spatial::BroadphaseMode::kGrid;
-    std::size_t eligible_count = 0;
-    for (std::size_t a = 0; a < n; ++a) {
-      const bool e =
-          db_.rmatch[a] == static_cast<std::int8_t>(MatchState::kUnmatched);
-      eligible_[a] = e ? 1 : 0;
-      eligible_count += e ? 1u : 0u;
-    }
+    const std::size_t eligible_count = mark_eligible();
     if (use_grid) {
       grid_.build(ex_, ey_, eligible_, /*cell_hint_nm=*/2.0 * half);
     }
@@ -215,46 +245,22 @@ Task1Result MimdBackend::do_run_task1(airfield::RadarFrame& frame,
     ++work.parallel_regions;
   }
 
-  // Commit.
-  pool_.parallel_for(0, n, kChunk, [&](std::size_t a) {
-    if (db_.rmatch[a] == static_cast<std::int8_t>(MatchState::kMatched) &&
-        amatch_[a] >= 0) {
-      const auto r = static_cast<std::size_t>(amatch_[a]);
-      db_.x[a] = frame.rx[r];
-      db_.y[a] = frame.ry[r];
-    } else {
-      db_.x[a] = ex_[a];
-      db_.y[a] = ey_[a];
-    }
-  });
-  ++work.parallel_regions;
+  result.stats.matched = commit_tracks(frame, work);
+  result.stats.updated_aircraft = result.stats.matched;
 
   // Outcome stats.
   for (const std::int32_t m : frame.rmatch_with) {
     if (m == kNone) ++result.stats.unmatched_radars;
     if (m == kDiscarded) ++result.stats.discarded_radars;
   }
-  for (std::size_t a = 0; a < n; ++a) {
-    if (db_.rmatch[a] == static_cast<std::int8_t>(MatchState::kAmbiguous)) {
-      ++result.stats.ambiguous_aircraft;
-    }
-    if (db_.rmatch[a] == static_cast<std::int8_t>(MatchState::kMatched) &&
-        amatch_[a] >= 0) {
-      ++result.stats.matched;
-      ++result.stats.updated_aircraft;
-    }
-  }
+  result.stats.ambiguous_aircraft = static_cast<std::uint64_t>(
+      std::count(db_.rmatch.begin(), db_.rmatch.end(),
+                 static_cast<std::int8_t>(MatchState::kAmbiguous)));
 
   result.stats.box_tests = box_tests.load();
   result.stats.lanes_masked = lanes_masked.load();
   work.inner_ops = inner_ops.load();
-  // [13]-style shared-record reader locks (counted, see header) plus the
-  // write locks the execution really performed.
-  work.locked_ops = work.inner_ops + locks_.acquisitions();
-  work.contended = locks_.contended();
-  locks_.reset_counters();
-  last_work_ = work;
-  result.modeled_ms = model_.model_ms(work, jitter_rng_);
+  result.modeled_ms = model_work(work, work.inner_ops);
   return result;
 }
 
@@ -269,19 +275,9 @@ Task23Result MimdBackend::do_run_task23(const Task23Params& params) {
     result.stats = sharded::detect_and_resolve(db_, pool_, shard_scratch_,
                                                params, &telemetry);
     work.inner_ops = telemetry.inner_ops;
-    work.locked_ops = telemetry.gather_ops + locks_.acquisitions();
-    work.contended = locks_.contended();
     work.parallel_regions = telemetry.parallel_regions;
-    locks_.reset_counters();
-    last_work_ = work;
-    result.modeled_ms = model_.model_ms(work, jitter_rng_);
-    for (int s = 0; s < telemetry.sectors; ++s) {
-      emit_sector_counter("task23.sector_owned", s,
-                          telemetry.sector_owned[static_cast<std::size_t>(s)]);
-      emit_sector_counter(
-          "task23.sector_candidates", s,
-          telemetry.sector_candidates[static_cast<std::size_t>(s)]);
-    }
+    result.modeled_ms = model_work(work, telemetry.gather_ops);
+    emit_sector_counters("task23", telemetry);
     return result;
   }
 
@@ -395,11 +391,7 @@ Task23Result MimdBackend::do_run_task23(const Task23Params& params) {
   result.stats.lanes_masked = lanes_masked.load();
 
   work.inner_ops = inner_ops.load();
-  work.locked_ops = work.inner_ops + locks_.acquisitions();
-  work.contended = locks_.contended();
-  locks_.reset_counters();
-  last_work_ = work;
-  result.modeled_ms = model_.model_ms(work, jitter_rng_);
+  result.modeled_ms = model_work(work, work.inner_ops);
   return result;
 }
 
@@ -433,11 +425,7 @@ TerrainResult MimdBackend::do_run_terrain(const TerrainTaskParams& params) {
   result.stats.samples = n * static_cast<std::uint64_t>(params.samples);
   // Each terrain sample reads 4 shared heightmap cells plus the record.
   work.inner_ops = result.stats.samples * 5;
-  work.locked_ops = work.inner_ops + locks_.acquisitions();
-  work.contended = locks_.contended();
-  locks_.reset_counters();
-  last_work_ = work;
-  result.modeled_ms = model_.model_ms(work, jitter_rng_);
+  result.modeled_ms = model_work(work, work.inner_ops);
   return result;
 }
 
@@ -471,11 +459,7 @@ DisplayResult MimdBackend::do_run_display(const DisplayParams& params) {
         result.stats.max_occupancy, static_cast<std::uint64_t>(count));
   }
   work.inner_ops = n * 4;  // record read, sector math, bin update
-  work.locked_ops = work.inner_ops + locks_.acquisitions();
-  work.contended = locks_.contended();
-  locks_.reset_counters();
-  last_work_ = work;
-  result.modeled_ms = model_.model_ms(work, jitter_rng_);
+  result.modeled_ms = model_work(work, work.inner_ops);
   return result;
 }
 
@@ -516,12 +500,8 @@ AdvisoryResult MimdBackend::do_run_advisory(const AdvisoryParams& params) {
     }
   }
   work.inner_ops = n * 4;
-  work.locked_ops =
-      work.inner_ops + result.queue.size() + locks_.acquisitions();
-  work.contended = locks_.contended();
-  locks_.reset_counters();
-  last_work_ = work;
-  result.modeled_ms = model_.model_ms(work, jitter_rng_);
+  result.modeled_ms =
+      model_work(work, work.inner_ops + result.queue.size());
   return result;
 }
 
@@ -560,11 +540,7 @@ SporadicResult MimdBackend::do_run_sporadic(std::span<const Query> queries,
     }
   }
   work.inner_ops = static_cast<std::uint64_t>(n) * q;
-  work.locked_ops = work.inner_ops + locks_.acquisitions();
-  work.contended = locks_.contended();
-  locks_.reset_counters();
-  last_work_ = work;
-  result.modeled_ms = model_.model_ms(work, jitter_rng_);
+  result.modeled_ms = model_work(work, work.inner_ops);
   return result;
 }
 
@@ -574,22 +550,15 @@ MultiRadarResult MimdBackend::do_run_multi_task1(
   const std::size_t returns = frame.size();
   MultiRadarResult result;
   result.stats.returns = returns;
+  const core::kern::Kernel kernel = core::kern::resolve(params.kernel);
 
   mimd::WorkCounters work;
   work.items = n;
   std::atomic<std::uint64_t> inner_ops{0};
   std::atomic<std::uint64_t> box_tests{0};
 
-  db_.reset_correlation_state();
-  frame.base.reset_matches();
-  std::fill(amatch_.begin(), amatch_.end(), kNone);
   std::vector<std::int32_t> nhits(returns, 0), hit_id(returns, kNone);
-
-  pool_.parallel_for(0, n, kChunk, [&](std::size_t i) {
-    ex_[i] = db_.x[i] + db_.dx[i];
-    ey_[i] = db_.y[i] + db_.dy[i];
-  });
-  ++work.parallel_regions;
+  begin_correlation(frame.base, work);
 
   auto& rmw = frame.base.rmatch_with;
   const auto& rx = frame.base.rx;
@@ -603,29 +572,23 @@ MultiRadarResult MimdBackend::do_run_multi_task1(
     ++result.stats.passes;
     const double half = params.box_half_nm * static_cast<double>(1 << pass);
 
-    // Phase 1 (return-major).
+    // Phase 1 (return-major): a batch box kernel per active return over
+    // the whole shared table (n record reads), eligibility-masked (the
+    // eligible records are its box tests). Hits come back in ascending
+    // aircraft order, so the last one is the scalar loop's hit_id.
+    const std::size_t eligible_count = mark_eligible();
     pool_.parallel_for(0, returns, kChunk, [&](std::size_t r) {
       if (rmw[r] != kNone) return;
-      nhits[r] = 0;
-      hit_id[r] = kNone;
-      std::uint64_t local_ops = 0;
-      std::uint64_t local_tests = 0;
-      for (std::size_t a = 0; a < n; ++a) {
-        ++local_ops;
-        if (db_.rmatch[a] !=
-            static_cast<std::int8_t>(MatchState::kUnmatched)) {
-          continue;
-        }
-        ++local_tests;
-        if (std::fabs(ex_[a] - rx[r]) < half &&
-            std::fabs(ey_[a] - ry[r]) < half) {
-          ++nhits[r];
-          hit_id[r] = static_cast<std::int32_t>(a);
-        }
-      }
+      thread_local std::vector<std::int32_t> hits;
+      hits.resize(n);
+      const std::size_t hit_count = core::kern::box_test_batch(
+          kernel, ex_.data(), ey_.data(), n, eligible_.data(), rx[r], ry[r],
+          half, hits.data(), /*lanes_masked=*/nullptr);
+      nhits[r] = static_cast<std::int32_t>(hit_count);
+      hit_id[r] = hit_count > 0 ? hits[hit_count - 1] : kNone;
       if (nhits[r] >= 2) rmw[r] = kDiscarded;
-      inner_ops.fetch_add(local_ops, std::memory_order_relaxed);
-      box_tests.fetch_add(local_tests, std::memory_order_relaxed);
+      inner_ops.fetch_add(n, std::memory_order_relaxed);
+      box_tests.fetch_add(eligible_count, std::memory_order_relaxed);
     });
     ++work.parallel_regions;
 
@@ -677,19 +640,7 @@ MultiRadarResult MimdBackend::do_run_multi_task1(
     ++work.parallel_regions;
   }
 
-  // Commit.
-  pool_.parallel_for(0, n, kChunk, [&](std::size_t a) {
-    if (db_.rmatch[a] == static_cast<std::int8_t>(MatchState::kMatched) &&
-        amatch_[a] >= 0) {
-      const auto r = static_cast<std::size_t>(amatch_[a]);
-      db_.x[a] = rx[r];
-      db_.y[a] = ry[r];
-    } else {
-      db_.x[a] = ex_[a];
-      db_.y[a] = ey_[a];
-    }
-  });
-  ++work.parallel_regions;
+  result.stats.matched_aircraft = commit_tracks(frame.base, work);
 
   result.stats.box_tests = box_tests.load();
   for (const std::int32_t m : rmw) {
@@ -697,18 +648,8 @@ MultiRadarResult MimdBackend::do_run_multi_task1(
     if (m == kDiscarded) ++result.stats.discarded_returns;
     if (m == airfield::kRedundant) ++result.stats.redundant_returns;
   }
-  for (std::size_t a = 0; a < n; ++a) {
-    if (db_.rmatch[a] == static_cast<std::int8_t>(MatchState::kMatched) &&
-        amatch_[a] >= 0) {
-      ++result.stats.matched_aircraft;
-    }
-  }
   work.inner_ops = inner_ops.load();
-  work.locked_ops = work.inner_ops + locks_.acquisitions();
-  work.contended = locks_.contended();
-  locks_.reset_counters();
-  last_work_ = work;
-  result.modeled_ms = model_.model_ms(work, jitter_rng_);
+  result.modeled_ms = model_work(work, work.inner_ops);
   return result;
 }
 

@@ -71,6 +71,26 @@ class MimdBackend final : public Backend {
   void set_jitter_seed(std::uint64_t seed) { jitter_rng_ = core::Rng(seed); }
 
  private:
+  // Task 1 steps both radar modes share, each one parallel region: clear
+  // the correlation state and compute the expected positions ex_/ey_;
+  // commit, where an aircraft that took a return jumps to it and the rest
+  // fly to their expected position (returns the first count).
+  void begin_correlation(airfield::RadarFrame& frame,
+                         mimd::WorkCounters& work);
+  std::uint64_t commit_tracks(const airfield::RadarFrame& frame,
+                              mimd::WorkCounters& work);
+
+  /// Mark the still-unmatched aircraft in eligible_ (a pass's Task 1
+  /// eligibility; rmatch does not change during a coverage scan) and
+  /// return how many there are.
+  std::size_t mark_eligible();
+
+  /// The tail every task's work accounting shares: charge `reader_ops`
+  /// [13]-style reader locks (see the file comment) plus the write locks
+  /// the run really took, reset the stripe counters, keep the counters as
+  /// last_work(), and return their modeled time.
+  double model_work(mimd::WorkCounters work, std::uint64_t reader_ops);
+
   mimd::XeonModel model_;
   mimd::ThreadPool pool_;
   mimd::StripedLocks locks_;

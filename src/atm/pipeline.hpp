@@ -7,7 +7,9 @@
 // One entry point drives every mode: `run_pipeline(backend, cfg)` reads
 // the clock mode (virtual modeled time vs. the paper's real wall-clock
 // executive), whether the backend is pre-loaded, and the optional trace
-// sink from the PipelineConfig.
+// sink from the PipelineConfig. The full system
+// (extended::run_full_system) runs on the same period loop with more
+// tasks in its schedule, so these fields mean the same there.
 #pragma once
 
 #include <vector>
@@ -63,7 +65,9 @@ struct PipelineConfig {
   /// (so callers can share one airfield across platforms or chain runs).
   bool preloaded = false;
   /// When non-null, the run emits cycle/period spans, per-task events,
-  /// and deadline outcomes into this sink (borrowed, never owned).
+  /// and deadline outcomes into this sink (borrowed, never owned): it is
+  /// attached to the backend for the run and detached after. When null,
+  /// the executive leaves the backend's own sink as it finds it.
   /// Tracing never alters results: a run with a sink produces the exact
   /// PipelineResult of a run without one.
   obs::TraceSink* trace = nullptr;
@@ -95,14 +99,15 @@ struct PeriodLog {
   double stolen_ms = 0.0;      ///< Host time the fault injector stole.
 };
 
-/// Result of one executive run. The deadline ledger lives behind
-/// deadlines(): the monitor is the single source of truth for met /
-/// missed / skipped (the per-period outcome fields in `periods` are
-/// derived from the very record() calls that fill it, and run_pipeline
-/// checks the two agree), so callers read aggregates from here instead
-/// of re-counting by hand.
-class PipelineResult {
- public:
+/// Result of one executive run. The deadline monitor is the single source
+/// of truth for met / missed / skipped (the per-period outcome fields in
+/// `periods` are derived from the very record() calls that fill it, and
+/// the executive checks the two agree), so callers read aggregates from
+/// it instead of re-counting by hand.
+struct PipelineResult {
+  /// The per-task deadline ledger the executive filled; deadlines()
+  /// reads it.
+  rt::DeadlineMonitor monitor;
   std::vector<PeriodLog> periods;
   core::StreamingStats task1_ms;   ///< Over started Task 1 instances.
   core::StreamingStats task23_ms;  ///< Over started Task 2+3 instances.
@@ -115,23 +120,18 @@ class PipelineResult {
 
   /// The per-task deadline ledger of the run.
   [[nodiscard]] const rt::DeadlineMonitor& deadlines() const {
-    return monitor_;
+    return monitor;
   }
 
   /// The paper's headline count: misses plus skips across all tasks.
   [[nodiscard]] std::uint64_t missed_or_skipped() const {
-    return monitor_.total_missed() + monitor_.total_skipped();
+    return monitor.total_missed() + monitor.total_skipped();
   }
 
   /// True when every scheduled task instance met its period deadline.
   [[nodiscard]] bool all_deadlines_met() const {
     return missed_or_skipped() == 0;
   }
-
- private:
-  friend PipelineResult run_pipeline(Backend& backend,
-                                     const PipelineConfig& cfg);
-  rt::DeadlineMonitor monitor_;
 };
 
 /// Run cfg.major_cycles full major cycles on `backend` in the configured

@@ -18,13 +18,7 @@ Task1Result ReferenceBackend::do_run_task1(airfield::RadarFrame& frame,
     sharded::ShardTelemetry telemetry;
     result.stats = sharded::correlate_and_track(
         db_, frame, shard_pool(), shard_scratch_, params, &telemetry);
-    for (int s = 0; s < telemetry.sectors; ++s) {
-      emit_sector_counter("task1.sector_owned", s,
-                          telemetry.sector_owned[static_cast<std::size_t>(s)]);
-      emit_sector_counter(
-          "task1.sector_candidates", s,
-          telemetry.sector_candidates[static_cast<std::size_t>(s)]);
-    }
+    emit_sector_counters("task1", telemetry);
   } else {
     result.stats =
         reference::correlate_and_track(db_, frame, scratch_, params);
@@ -41,13 +35,7 @@ Task23Result ReferenceBackend::do_run_task23(const Task23Params& params) {
     result.stats = sharded::detect_and_resolve(db_, shard_pool(),
                                                shard_scratch_, params,
                                                &telemetry);
-    for (int s = 0; s < telemetry.sectors; ++s) {
-      emit_sector_counter("task23.sector_owned", s,
-                          telemetry.sector_owned[static_cast<std::size_t>(s)]);
-      emit_sector_counter(
-          "task23.sector_candidates", s,
-          telemetry.sector_candidates[static_cast<std::size_t>(s)]);
-    }
+    emit_sector_counters("task23", telemetry);
   } else {
     result.stats = reference::detect_and_resolve(db_, params);
   }

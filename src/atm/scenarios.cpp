@@ -146,7 +146,23 @@ bool scenario_by_name(std::string_view name, Scenario& out) {
 PipelineConfig make_pipeline_config(const Scenario& scenario,
                                     int major_cycles, std::uint64_t seed) {
   PipelineConfig cfg;
-  apply(scenario, cfg, major_cycles, seed);
+  cfg.aircraft = scenario.default_aircraft;
+  cfg.major_cycles = major_cycles;
+  cfg.seed = seed;
+  cfg.setup = scenario.setup;
+  cfg.radar = scenario.radar;
+  cfg.task1 = scenario.task1;
+  cfg.task23 = scenario.task23;
+  cfg.task1.broadphase = scenario.policy.broadphase;
+  cfg.task23.broadphase = scenario.policy.broadphase;
+  cfg.task1.shard = scenario.policy.shard;
+  cfg.task23.shard = scenario.policy.shard;
+  cfg.task1.sectors_per_axis = scenario.policy.sectors_per_axis;
+  cfg.task23.sectors_per_axis = scenario.policy.sectors_per_axis;
+  cfg.task1.kernel = scenario.policy.kernel;
+  cfg.task23.kernel = scenario.policy.kernel;
+  cfg.governor = scenario.policy.governor;
+  cfg.faults = scenario.policy.faults;
   return cfg;
 }
 
@@ -154,7 +170,8 @@ extended::FullSystemConfig make_full_config(const Scenario& scenario,
                                             int major_cycles,
                                             std::uint64_t seed) {
   extended::FullSystemConfig cfg;
-  apply(scenario, cfg, major_cycles, seed);
+  static_cast<PipelineConfig&>(cfg) =
+      make_pipeline_config(scenario, major_cycles, seed);
   cfg.terrain = scenario.terrain;
   cfg.advisory = scenario.advisory;
   cfg.sporadic = scenario.sporadic;

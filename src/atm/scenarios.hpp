@@ -19,8 +19,8 @@
 namespace atm::tasks {
 
 /// Execution policy of a scenario: every knob that shapes *how* the
-/// workload runs rather than *what* the workload is. tasks::apply() is
-/// the single place this block fans out into a config — the broadphase /
+/// workload runs rather than *what* the workload is. make_pipeline_config
+/// is the single place this block fans out into a config — the broadphase /
 /// shard knobs are copied into both task bundles, and the governor /
 /// fault blocks are copied to the config verbatim — so examples, benches,
 /// and tests configure execution through the policy instead of poking
@@ -103,40 +103,17 @@ void register_scenario(Scenario scenario);
 /// Returns false (leaving `out` untouched) for an unknown name.
 [[nodiscard]] bool scenario_by_name(std::string_view name, Scenario& out);
 
-/// Copy a scenario's workload knobs into a config. The single place the
-/// Scenario -> config field mapping lives: works for PipelineConfig,
-/// extended::FullSystemConfig, and any config exposing the same fields.
-/// The policy block fans out here — broadphase/shard into both task
-/// bundles, governor and faults onto the config — so callers configure
-/// execution exactly once, on the Scenario.
-template <typename Config>
-void apply(const Scenario& scenario, Config& cfg, int major_cycles,
-           std::uint64_t seed) {
-  cfg.aircraft = scenario.default_aircraft;
-  cfg.major_cycles = major_cycles;
-  cfg.seed = seed;
-  cfg.setup = scenario.setup;
-  cfg.radar = scenario.radar;
-  cfg.task1 = scenario.task1;
-  cfg.task23 = scenario.task23;
-  cfg.task1.broadphase = scenario.policy.broadphase;
-  cfg.task23.broadphase = scenario.policy.broadphase;
-  cfg.task1.shard = scenario.policy.shard;
-  cfg.task23.shard = scenario.policy.shard;
-  cfg.task1.sectors_per_axis = scenario.policy.sectors_per_axis;
-  cfg.task23.sectors_per_axis = scenario.policy.sectors_per_axis;
-  cfg.task1.kernel = scenario.policy.kernel;
-  cfg.task23.kernel = scenario.policy.kernel;
-  cfg.governor = scenario.policy.governor;
-  cfg.faults = scenario.policy.faults;
-}
-
-/// Instantiate a core-pipeline configuration from a scenario.
+/// Instantiate a core-pipeline configuration from a scenario. The single
+/// place the Scenario -> config field mapping lives. The policy block
+/// fans out here — broadphase/shard/kernel into both task bundles,
+/// governor and faults onto the config — so callers configure execution
+/// exactly once, on the Scenario.
 [[nodiscard]] PipelineConfig make_pipeline_config(const Scenario& scenario,
                                                   int major_cycles = 1,
                                                   std::uint64_t seed = 42);
 
-/// Instantiate a full-system configuration from a scenario.
+/// Instantiate a full-system configuration from a scenario: the pipeline
+/// configuration plus the scenario's extended-task parameters.
 [[nodiscard]] extended::FullSystemConfig make_full_config(
     const Scenario& scenario, int major_cycles = 1, std::uint64_t seed = 42);
 

@@ -25,6 +25,8 @@
 #include <vector>
 
 #include "src/airfield/setup.hpp"
+#include "src/airfield/towers.hpp"
+#include "src/atm/extended/multiradar.hpp"
 #include "src/atm/mimd_backend.hpp"
 #include "src/atm/pipeline.hpp"
 #include "src/atm/reference_backend.hpp"
@@ -122,6 +124,40 @@ std::string scenario_test_name(
 INSTANTIATE_TEST_SUITE_P(AllScenarios, KernelEquivalenceTest,
                          ::testing::ValuesIn(all_scenarios()),
                          scenario_test_name);
+
+TEST(MultiRadarKernelEquivalence, MimdMatchesCorrelateMultiBitForBit) {
+  // Multi-return Task 1 on the MIMD path runs its coverage scan through
+  // the batch box kernel; with either kernel it must reproduce the scalar
+  // reference correlate_multi exactly — dispositions, flight state and
+  // every counter, box tests (eligible aircraft per active return)
+  // included — over several chained periods.
+  const airfield::FlightDb fleet = airfield::make_airfield(600, 21);
+  const std::vector<airfield::RadarTower> towers =
+      airfield::make_tower_layout(21);
+  for (const KernelMode mode : {KernelMode::kScalar, KernelMode::kAvx2}) {
+    SCOPED_TRACE(std::string(core::kern::to_string(core::kern::resolve(mode))));
+    Task1Params params;
+    params.kernel = mode;
+    airfield::FlightDb ref = fleet;
+    MimdBackend mimd;
+    mimd.load(fleet);
+    for (std::uint64_t period = 0; period < 4; ++period) {
+      core::Rng rng_ref(30 + period);
+      core::Rng rng_mimd(30 + period);
+      airfield::MultiRadarFrame ref_frame =
+          airfield::generate_multi_radar(ref, towers, rng_ref);
+      airfield::MultiRadarFrame frame =
+          airfield::generate_multi_radar(mimd.state(), towers, rng_mimd);
+      const MultiRadarStats expected =
+          extended::correlate_multi(ref, ref_frame, params);
+      const MultiRadarResult got = mimd.run_multi_task1(frame, params);
+      EXPECT_EQ(got.stats, expected) << "period " << period;
+      EXPECT_GT(got.stats.box_tests, 0u);
+      EXPECT_EQ(frame.base.rmatch_with, ref_frame.base.rmatch_with);
+      EXPECT_TRUE(mimd.state().same_flight_state(ref)) << "period " << period;
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Direct kernel comparisons on synthetic lane-stressing inputs.

@@ -1,11 +1,14 @@
 // Tests for the observability layer (src/obs) and its wiring through the
 // executive: event counts and ordering, agreement with the DeadlineMonitor
 // aggregates, the null-sink bit-identical guarantee, and the deprecated
-// pipeline wrappers' back-compat behavior.
+// pipeline wrappers' back-compat behavior. The full system runs on the
+// same loop, so its traces are checked the same way.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
+#include "src/atm/extended/full_pipeline.hpp"
 #include "src/atm/pipeline.hpp"
 #include "src/atm/platforms.hpp"
 #include "src/atm/reference_backend.hpp"
@@ -264,6 +267,142 @@ TEST(ObsTrace, PreloadedFlagChainsRunsOnOneFlightState) {
     EXPECT_EQ(chained.periods[i].task1_ms, chained_b.periods[i].task1_ms);
   }
   EXPECT_TRUE(a->state().same_flight_state(b->state()));
+}
+
+TEST(ObsTrace, BackendAttachedSinkSurvivesAnUntracedRun) {
+  // Without cfg.trace the executive leaves the backend's own sink alone:
+  // it still sees every task, but no executive spans, deadline events or
+  // (cycle, period) stamps.
+  RecordingSink sink;
+  ReferenceBackend ref;
+  ref.set_trace_sink(&sink);
+  run_pipeline(ref, two_cycle_config(nullptr));
+  EXPECT_EQ(ref.trace_sink(), &sink);
+  EXPECT_EQ(sink.count(EventKind::kTask, "task1"), 32u);
+  EXPECT_EQ(sink.count(EventKind::kSpanBegin), 0u);
+  EXPECT_EQ(sink.count(EventKind::kDeadline), 0u);
+  for (const TraceEvent& ev : sink.events()) {
+    EXPECT_EQ(ev.cycle, -1);
+    EXPECT_EQ(ev.period, -1);
+  }
+  ref.set_trace_sink(nullptr);
+}
+
+// --- The full system runs on the same executive loop -----------------------
+
+extended::FullSystemConfig two_cycle_full_config(obs::TraceSink* sink) {
+  extended::FullSystemConfig cfg;
+  cfg.aircraft = 200;
+  cfg.major_cycles = 2;
+  cfg.sporadic.queries_per_batch = 2;
+  cfg.trace = sink;
+  return cfg;
+}
+
+TEST(ObsTrace, TracedFullSystemMatchesUntraced) {
+  auto traced = make_titan_x_pascal();
+  auto bare = make_titan_x_pascal();
+  RecordingSink sink;
+  const extended::FullSystemResult with =
+      extended::run_full_system(*traced, two_cycle_full_config(&sink));
+  const extended::FullSystemResult without =
+      extended::run_full_system(*bare, two_cycle_full_config(nullptr));
+
+  ASSERT_EQ(with.periods.size(), without.periods.size());
+  for (std::size_t i = 0; i < with.periods.size(); ++i) {
+    EXPECT_EQ(with.periods[i].task1_ms, without.periods[i].task1_ms);
+    EXPECT_EQ(with.periods[i].task1_outcome, without.periods[i].task1_outcome);
+    EXPECT_EQ(with.periods[i].task23_ms, without.periods[i].task23_ms);
+    EXPECT_EQ(with.periods[i].wrapped, without.periods[i].wrapped);
+  }
+  EXPECT_EQ(with.virtual_end_ms, without.virtual_end_ms);
+  EXPECT_EQ(with.monitor.summary(), without.monitor.summary());
+  EXPECT_EQ(with.last_task1, without.last_task1);
+  EXPECT_EQ(with.last_task23, without.last_task23);
+  EXPECT_TRUE(with.last_display == without.last_display);
+  EXPECT_TRUE(with.last_sporadic == without.last_sporadic);
+  EXPECT_TRUE(with.last_terrain == without.last_terrain);
+  EXPECT_TRUE(with.last_advisory == without.last_advisory);
+  EXPECT_EQ(with.last_queue, without.last_queue);
+  EXPECT_TRUE(traced->state().same_flight_state(bare->state()));
+  EXPECT_EQ(traced->trace_sink(), nullptr);
+  EXPECT_FALSE(sink.events().empty());
+}
+
+TEST(ObsTrace, FullSystemTraceHasSpansDeadlinesAndStampedTasks) {
+  RecordingSink sink;
+  ReferenceBackend ref;
+  const extended::FullSystemResult result =
+      extended::run_full_system(ref, two_cycle_full_config(&sink));
+
+  EXPECT_EQ(sink.count(EventKind::kSpanBegin, "cycle"), 2u);
+  EXPECT_EQ(sink.count(EventKind::kSpanEnd, "cycle"), 2u);
+  EXPECT_EQ(sink.count(EventKind::kSpanBegin, "period"), 32u);
+  EXPECT_EQ(sink.count(EventKind::kSpanEnd, "period"), 32u);
+  // One deadline event per scheduled task instance, on the extended
+  // schedule: every period, once per cycle, and every 4 s.
+  for (const char* task : {"task1", "display", "sporadic"}) {
+    EXPECT_EQ(result.monitor.task(task).scheduled(), 32u) << task;
+    EXPECT_EQ(sink.count(EventKind::kDeadline, task), 32u) << task;
+  }
+  for (const char* task : {"task23", "terrain"}) {
+    EXPECT_EQ(result.monitor.task(task).scheduled(), 2u) << task;
+    EXPECT_EQ(sink.count(EventKind::kDeadline, task), 2u) << task;
+  }
+  EXPECT_EQ(result.monitor.task("advisory").scheduled(), 4u);
+  EXPECT_EQ(sink.count(EventKind::kDeadline, "advisory"), 4u);
+  EXPECT_EQ(sink.count(EventKind::kDeadline),
+            result.monitor.total_met() + result.monitor.total_missed() +
+                result.monitor.total_skipped());
+
+  // Every task event carries the (cycle, period) of the span it ran in.
+  int open_periods = 0;
+  int cycle = -1;
+  int period = -1;
+  for (const TraceEvent& ev : sink.events()) {
+    if (ev.kind == EventKind::kSpanBegin && ev.name == "period") {
+      ++open_periods;
+      cycle = ev.cycle;
+      period = ev.period;
+    } else if (ev.kind == EventKind::kSpanEnd && ev.name == "period") {
+      --open_periods;
+    } else if (ev.kind == EventKind::kTask) {
+      EXPECT_EQ(open_periods, 1) << "task " << ev.name << " outside period";
+      EXPECT_EQ(ev.cycle, cycle) << ev.name;
+      EXPECT_EQ(ev.period, period) << ev.name;
+    }
+  }
+  EXPECT_EQ(sink.count(EventKind::kTask, "display"), 32u);
+  EXPECT_EQ(sink.count(EventKind::kTask, "terrain"), 2u);
+}
+
+TEST(ObsTrace, FullSystemEmitsTheEventKindsOfThePipeline) {
+  // Every period loses 470 of its 500 ms to stolen time, so the governor
+  // moves under both executives and both traces carry governor events.
+  PipelineConfig cfg = two_cycle_config(nullptr);
+  cfg.governor.enabled = true;
+  cfg.faults.enabled = true;
+  cfg.faults.stolen_time_probability = 1.0;
+  cfg.faults.stolen_time_ms = 470.0;
+  extended::FullSystemConfig full;
+  static_cast<PipelineConfig&>(full) = cfg;
+
+  RecordingSink pipeline_sink;
+  RecordingSink full_sink;
+  cfg.trace = &pipeline_sink;
+  full.trace = &full_sink;
+  auto a = make_titan_x_pascal();
+  auto b = make_titan_x_pascal();
+  run_pipeline(*a, cfg);
+  extended::run_full_system(*b, full);
+
+  const auto kinds = [](const RecordingSink& sink) {
+    std::set<EventKind> out;
+    for (const TraceEvent& ev : sink.events()) out.insert(ev.kind);
+    return out;
+  };
+  EXPECT_TRUE(kinds(pipeline_sink).contains(EventKind::kGovernor));
+  EXPECT_EQ(kinds(pipeline_sink), kinds(full_sink));
 }
 
 TEST(ObsTrace, WallclockModeRunsViaConfigFields) {

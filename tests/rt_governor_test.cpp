@@ -7,8 +7,10 @@
 #include <vector>
 
 #include "src/atm/degrade.hpp"
+#include "src/atm/extended/full_pipeline.hpp"
 #include "src/atm/pipeline.hpp"
 #include "src/atm/platforms.hpp"
+#include "src/atm/reference_backend.hpp"
 #include "src/obs/trace.hpp"
 #include "src/rt/governor.hpp"
 
@@ -227,6 +229,94 @@ TEST(GovernedPipeline, VirtualModeOverloadIsDeterministic) {
     EXPECT_EQ(ra.periods[i].governor_level, rb.periods[i].governor_level);
     EXPECT_EQ(ra.periods[i].stolen_ms, rb.periods[i].stolen_ms);
     EXPECT_EQ(ra.periods[i].task1_outcome, rb.periods[i].task1_outcome);
+  }
+}
+
+/// The host reference with a deterministic cost shape: brute-force Task 1
+/// takes 300 ms, the grid broadphase (the ladder's first rung) 100 ms,
+/// every other task 1 ms. With 250 ms stolen from a period, brute force
+/// overruns it and the grid does not.
+class ShapedBackend final : public ReferenceBackend {
+ protected:
+  Task1Result do_run_task1(airfield::RadarFrame& frame,
+                           const Task1Params& params) override {
+    Task1Result r = ReferenceBackend::do_run_task1(frame, params);
+    r.modeled_ms =
+        params.broadphase == core::spatial::BroadphaseMode::kGrid ? 100.0
+                                                                   : 300.0;
+    return r;
+  }
+  Task23Result do_run_task23(const Task23Params& params) override {
+    return cheap(ReferenceBackend::do_run_task23(params));
+  }
+  TerrainResult do_run_terrain(const TerrainTaskParams& params) override {
+    return cheap(ReferenceBackend::do_run_terrain(params));
+  }
+  DisplayResult do_run_display(const DisplayParams& params) override {
+    return cheap(ReferenceBackend::do_run_display(params));
+  }
+  AdvisoryResult do_run_advisory(const AdvisoryParams& params) override {
+    return cheap(ReferenceBackend::do_run_advisory(params));
+  }
+  SporadicResult do_run_sporadic(std::span<const Query> queries,
+                                 const SporadicParams& params) override {
+    return cheap(ReferenceBackend::do_run_sporadic(queries, params));
+  }
+
+ private:
+  template <typename Result>
+  static Result cheap(Result r) {
+    r.modeled_ms = 1.0;
+    return r;
+  }
+};
+
+TEST(GovernedSchedules, StolenTimeMissesBecomeDegradedMetPeriods) {
+  // On the virtual clock, with stolen time injected: the ungoverned
+  // executive misses Task 1 in every period that loses 250 ms. The
+  // governed one degrades to the grid after the first such period and
+  // then meets its deadlines while degraded. Both schedules (the paper
+  // pipeline and the full system) run on the same loop and must show it.
+  extended::FullSystemConfig cfg;
+  cfg.aircraft = 200;
+  cfg.major_cycles = 2;
+  cfg.sporadic.queries_per_batch = 2;
+  cfg.faults.enabled = true;
+  cfg.faults.stolen_time_probability = 0.3;
+  cfg.faults.stolen_time_ms = 250.0;
+  // Hold every degradation for the whole run: this is about the degrade
+  // direction, not the recovery schedule.
+  cfg.governor.recover_hold_periods = 1000;
+
+  const auto run = [&](bool full_system, bool governed) {
+    extended::FullSystemConfig c = cfg;
+    c.governor.enabled = governed;
+    ShapedBackend backend;
+    if (full_system) return PipelineResult(extended::run_full_system(backend, c));
+    return run_pipeline(backend, c);
+  };
+  for (const bool full_system : {false, true}) {
+    SCOPED_TRACE(full_system ? "full system" : "pipeline");
+    const PipelineResult ungoverned = run(full_system, false);
+    const PipelineResult governed = run(full_system, true);
+    std::size_t stolen_periods = 0;
+    for (const PeriodLog& log : ungoverned.periods) {
+      stolen_periods += log.stolen_ms > 0.0 ? 1u : 0u;
+    }
+    ASSERT_GE(stolen_periods, 2u);
+    ASSERT_GT(ungoverned.missed_or_skipped(), 0u);
+
+    EXPECT_GT(governed.governor_degrades, 0u);
+    EXPECT_LT(governed.missed_or_skipped(), ungoverned.missed_or_skipped());
+    // The converted periods: robbed of time, degraded, and still met.
+    std::size_t degraded_met = 0;
+    for (const PeriodLog& log : governed.periods) {
+      if (log.stolen_ms > 0.0 && log.governor_level > 0 &&
+          log.task1_outcome == rt::Outcome::kMet) {
+        ++degraded_met;
+      }
+    }
+    EXPECT_GT(degraded_met, 0u);
   }
 }
 

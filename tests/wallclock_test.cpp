@@ -60,36 +60,21 @@ TEST(WallClock, DurationsAreRealNotModeled) {
 }
 
 TEST(WallClock, GovernorConvertsSkipsIntoDegradedMetPeriods) {
-  // 3000 aircraft brute-force Task 1 takes ~10x a 25 ms real period on
-  // this host, so the ungoverned executive misses and skips nearly every
-  // instance. The governed executive degrades to the grid broadphase
-  // after the first bad period and then *meets* deadlines while degraded.
+  // Smoke only: 1000-aircraft Tasks 2+3 cannot fit a 1 ms real period, so
+  // the governed executive must degrade at least once. How many periods
+  // the degradation converts into met ones depends on host load; that
+  // comparison runs on the virtual clock
+  // (GovernedSchedules.StolenTimeMissesBecomeDegradedMetPeriods).
   PipelineConfig cfg;
-  cfg.aircraft = 3000;
-  cfg.major_cycles = 2;
+  cfg.aircraft = 1000;
+  cfg.major_cycles = 1;
   cfg.clock_mode = ClockMode::kWallclock;
-  cfg.real_period_ms = 25.0;
-  ReferenceBackend ungoverned_ref;
-  const PipelineResult ungoverned = run_pipeline(ungoverned_ref, cfg);
-  ASSERT_GT(ungoverned.missed_or_skipped(), 4u);
-
+  cfg.real_period_ms = 1.0;
   cfg.governor.enabled = true;
-  // Hold every degradation for the whole run: this smoke is about the
-  // degrade direction, not the recovery schedule.
-  cfg.governor.recover_hold_periods = 1000;
-  ReferenceBackend governed_ref;
-  const PipelineResult governed = run_pipeline(governed_ref, cfg);
-
+  ReferenceBackend ref;
+  const PipelineResult governed = run_pipeline(ref, cfg);
+  EXPECT_GT(governed.missed_or_skipped(), 0u);
   EXPECT_GT(governed.governor_degrades, 0u);
-  EXPECT_LT(governed.missed_or_skipped(), ungoverned.missed_or_skipped());
-  // The converted periods: degraded (level > 0) yet meeting the deadline.
-  std::size_t degraded_met = 0;
-  for (const PeriodLog& log : governed.periods) {
-    if (log.governor_level > 0 && log.task1_outcome == rt::Outcome::kMet) {
-      ++degraded_met;
-    }
-  }
-  EXPECT_GT(degraded_met, 0u);
 }
 
 TEST(WallClock, RecorderWorksInWallClockModeToo) {
