@@ -296,23 +296,27 @@ Task23Result MimdBackend::do_run_task23(const Task23Params& params) {
   std::fill(resolved_.begin(), resolved_.end(), 0);
 
   // One serially gathered snapshot (and, under kGrid, one swept index
-  // over the same slots) queried read-only by every worker. Valid for
-  // the whole scan phase — positions/velocities only change in the
-  // commit region below.
-  snap_.gather(db_);
-  const core::kern::SoaView view = snap_.view();
+  // whose bucket order is the snapshot's slot order) queried read-only by
+  // every worker. Valid for the whole scan phase — positions/velocities
+  // only change in the commit region below.
   const core::spatial::SweptIndex* index = nullptr;
+  const std::int32_t* ids = nullptr;
   if (params.broadphase == core::spatial::BroadphaseMode::kGrid) {
     reference::build_swept_index(db_, params, swept_);
     index = &swept_;
+    ids = swept_.order().data();
+    snap_.gather(db_, swept_.order());
+  } else {
+    snap_.gather(db_);
   }
+  const core::kern::SoaView view = snap_.view();
 
   pool_.parallel_for(0, n, /*chunk=*/8, [&](std::size_t i) {
     reference::ScanWork local_work;
     thread_local reference::ScanScratch scratch;
     std::uint64_t scans = 1;  // detection sweep; trials add theirs below
     const reference::DetectOutcome det = reference::scan_candidates(
-        view, /*ids=*/nullptr, static_cast<std::int32_t>(i), db_.x[i],
+        view, ids, static_cast<std::int32_t>(i), db_.x[i],
         db_.y[i], db_.alt[i], db_.dx[i], db_.dy[i], params, kernel,
         local_work, /*stop_at_critical=*/false, index, scratch);
     if (det.conflict) {
@@ -337,7 +341,7 @@ Task23Result MimdBackend::do_run_task23(const Task23Params& params) {
         rescans.fetch_add(1, std::memory_order_relaxed);
         ++scans;
         const reference::DetectOutcome check = reference::scan_candidates(
-            view, /*ids=*/nullptr, static_cast<std::int32_t>(i), db_.x[i],
+            view, ids, static_cast<std::int32_t>(i), db_.x[i],
             db_.y[i], db_.alt[i], trial.x, trial.y, params, kernel,
             local_work, /*stop_at_critical=*/true, index, scratch);
         if (!check.critical) {

@@ -4,16 +4,18 @@
 #include <cmath>
 #include <vector>
 
+#include "src/core/check.hpp"
 #include "src/core/vec2.hpp"
 
 namespace atm::tasks::reference {
 
 namespace {
 
-/// Candidates are fed to the band kernel in blocks of this many lanes,
-/// and the per-lane decision loop runs after each block: under
-/// stop_at_critical at most one block of kernel work past the stopping
-/// lane is wasted, while full blocks keep the SIMD lanes saturated.
+/// Slots are fed to the band kernel in blocks of at most this many lanes
+/// (an index run may end a block early), and the per-lane decision loop
+/// runs after each block: under stop_at_critical at most one block of
+/// kernel work past the stopping lane is wasted, while full blocks keep
+/// the SIMD lanes saturated.
 constexpr std::size_t kScanBlock = 512;
 
 }  // namespace
@@ -26,26 +28,9 @@ DetectOutcome scan_candidates(const core::kern::SoaView& view,
                               bool stop_at_critical,
                               const core::spatial::SweptIndex* index,
                               ScanScratch& scratch) {
-  DetectOutcome out;
-  double soonest = params.horizon_periods + 1.0;
-
-  // Candidate slots: every view slot (brute force) or the broadphase
-  // enumeration gathered into scratch.cand. Collection order is the
-  // index's enumeration order, so the consumed-lane prefix under
-  // stop_at_critical matches the historical one-at-a-time visit.
-  const std::int32_t* idx = nullptr;
-  std::size_t m = view.n;
-  if (index != nullptr) {
-    scratch.cand.clear();
-    index->for_each_candidate(xi, yi, alti, std::sqrt(vx * vx + vy * vy),
-                              [&](std::size_t slot) {
-                                scratch.cand.push_back(
-                                    static_cast<std::int32_t>(slot));
-                                return false;
-                              });
-    idx = scratch.cand.data();
-    m = scratch.cand.size();
-  }
+  ATM_CHECK_MSG(index == nullptr || index->size() == view.n,
+                "swept index and snapshot cover different slots: index="
+                    << index->size() << " view=" << view.n);
   if (scratch.tmin.size() < kScanBlock) {
     scratch.tmin.resize(kScanBlock);
     scratch.flags.resize(kScanBlock);
@@ -53,61 +38,77 @@ DetectOutcome scan_candidates(const core::kern::SoaView& view,
 
   const core::kern::BandParams band{params.band_nm, params.horizon_periods,
                                     params.altitude_gate_feet};
-  bool stopped = false;
-  for (std::size_t base = 0; base < m && !stopped; base += kScanBlock) {
-    const std::size_t count = std::min(kScanBlock, m - base);
-    core::kern::SoaView block = view;
-    const std::int32_t* block_idx = nullptr;
-    if (idx != nullptr) {
-      block_idx = idx + base;
-    } else {
-      block.x += base;
-      block.y += base;
-      block.dx += base;
-      block.dy += base;
-      block.alt += base;
-      block.n = count;
-    }
-    core::kern::band_intersect_batch(kernel, block, block_idx, count, xi,
-                                     yi, alti, vx, vy, band,
-                                     scratch.tmin.data(),
-                                     scratch.flags.data(),
-                                     &work.lanes_masked);
+  DetectOutcome out;
+  double soonest = params.horizon_periods + 1.0;
+  std::uint64_t candidates = 0;
+  std::uint64_t tests = 0;
 
-    // The per-lane decision loop: all outcome logic (self skip, work
-    // counters, soonest-partner tie-break, critical early exit) lives
-    // here, consuming lanes in candidate order. The soonest-conflict min
-    // uses a (time_min, partner id) lexicographic tie-break: for the
-    // ascending brute-force scan this is exactly the historical
-    // first-writer-wins behaviour, and it makes the outcome independent
-    // of the order an index enumerates candidates in.
-    for (std::size_t k = 0; k < count; ++k) {
-      const std::size_t slot = block_idx != nullptr
-                                   ? static_cast<std::size_t>(block_idx[k])
-                                   : base + k;
-      const std::int32_t j =
-          ids != nullptr ? ids[slot] : static_cast<std::int32_t>(slot);
-      if (j == self) continue;
-      ++work.pair_candidates;
-      if ((scratch.flags[k] & core::kern::kBandGatePass) == 0) continue;
-      ++work.pair_tests;
-      if ((scratch.flags[k] & core::kern::kBandConflict) == 0) continue;
-      out.conflict = true;
-      const double tmin = scratch.tmin[k];
-      if (tmin < soonest || (tmin == soonest && j < out.partner)) {
-        soonest = tmin;
-        out.partner = j;
-        out.time_min = tmin;
-      }
-      if (tmin < params.critical_periods) {
-        out.critical = true;
-        if (stop_at_critical) {
-          stopped = true;
-          break;
+  // Scan the contiguous view slots [begin, end) blockwise; true = stopped
+  // at a critical conflict. After each kernel block the decision loop
+  // consumes the block's lanes in slot order, in two passes. The first
+  // branches only on conflict lanes: the soonest-partner update and the
+  // critical early exit, which ends the consumed prefix. The soonest-
+  // conflict min uses a (time_min, partner id) lexicographic tie-break:
+  // for the ascending brute-force scan this is exactly the historical
+  // first-writer-wins behaviour, and it makes the outcome independent of
+  // the order an index enumerates candidates in. The second pass tallies
+  // the work counters over the consumed prefix as branch-free arithmetic
+  // (every lane but self is a candidate, its gate bit a test).
+  static_assert(core::kern::kBandGatePass == 1u);
+  const auto id_of = [ids](std::size_t slot) {
+    return ids != nullptr ? ids[slot] : static_cast<std::int32_t>(slot);
+  };
+  double* const lane_tmin = scratch.tmin.data();
+  std::uint8_t* const lane_flags = scratch.flags.data();
+  const auto scan_run = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t base = begin; base < end; base += kScanBlock) {
+      const std::size_t count = std::min(kScanBlock, end - base);
+      const core::kern::SoaView block{view.x + base,  view.y + base,
+                                      view.dx + base, view.dy + base,
+                                      view.alt + base, count};
+      core::kern::band_intersect_batch(kernel, block, /*idx=*/nullptr,
+                                       count, xi, yi, alti, vx, vy, band,
+                                       lane_tmin, lane_flags,
+                                       &work.lanes_masked);
+      std::size_t consumed = count;
+      bool stopped = false;
+      for (std::size_t k = 0; k < count; ++k) {
+        if ((lane_flags[k] & core::kern::kBandConflict) == 0) continue;
+        const std::int32_t j = id_of(base + k);
+        if (j == self) continue;
+        out.conflict = true;
+        const double tmin = lane_tmin[k];
+        if (tmin < soonest || (tmin == soonest && j < out.partner)) {
+          soonest = tmin;
+          out.partner = j;
+          out.time_min = tmin;
+        }
+        if (tmin < params.critical_periods) {
+          out.critical = true;
+          if (stop_at_critical) {
+            consumed = k + 1;
+            stopped = true;
+            break;
+          }
         }
       }
+      for (std::size_t k = 0; k < consumed; ++k) {
+        const unsigned live = id_of(base + k) != self ? 1u : 0u;
+        candidates += live;
+        tests += live & lane_flags[k];
+      }
+      if (stopped) return true;
     }
+    return false;
+  };
+  if (index != nullptr) {
+    index->for_each_run(xi, yi, alti, std::sqrt(vx * vx + vy * vy),
+                        scan_run);
+  } else {
+    scan_run(0, view.n);
   }
+  work.pair_candidates += candidates;
+  work.pair_tests += tests;
   return out;
 }
 
@@ -117,23 +118,33 @@ DetectOutcome scan_against_all(const airfield::FlightDb& db, std::size_t i,
                                bool stop_at_critical,
                                const core::spatial::SweptIndex* index) {
   core::kern::SoaSnapshot snap;
-  snap.gather(db);
+  const std::int32_t* ids = nullptr;
+  if (index != nullptr) {
+    snap.gather(db, index->order());
+    ids = index->order().data();
+  } else {
+    snap.gather(db);
+  }
   ScanScratch scratch;
-  return scan_candidates(snap.view(), /*ids=*/nullptr,
-                         static_cast<std::int32_t>(i), db.x[i], db.y[i],
-                         db.alt[i], vx, vy, params,
+  return scan_candidates(snap.view(), ids, static_cast<std::int32_t>(i),
+                         db.x[i], db.y[i], db.alt[i], vx, vy, params,
                          core::kern::resolve(params.kernel), work,
                          stop_at_critical, index, scratch);
+}
+
+core::spatial::SweptIndexParams swept_index_params(
+    const Task23Params& params) {
+  core::spatial::SweptIndexParams ip;
+  ip.horizon_periods = params.horizon_periods;
+  ip.band_nm = params.band_nm;
+  ip.altitude_gate_feet = params.altitude_gate_feet;
+  return ip;
 }
 
 void build_swept_index(const airfield::FlightDb& db,
                        const Task23Params& params,
                        core::spatial::SweptIndex& index) {
-  core::spatial::SweptIndexParams ip;
-  ip.horizon_periods = params.horizon_periods;
-  ip.band_nm = params.band_nm;
-  ip.altitude_gate_feet = params.altitude_gate_feet;
-  index.build(db.x, db.y, db.dx, db.dy, db.alt, ip);
+  index.build(db.x, db.y, db.dx, db.dy, db.alt, swept_index_params(params));
 }
 
 double trial_angle_deg(int attempt, double step_deg) {
@@ -161,19 +172,23 @@ Task23Stats detect_and_resolve(airfield::FlightDb& db,
   db.reset_collision_state();
   std::vector<std::uint8_t> resolved_flag(n, 0);
 
-  // One gathered snapshot (and, under kGrid, one swept index over the
-  // same slots) serves every scan of the run. Positions, velocities, and
-  // altitudes are only mutated by the commit phase below, after all
-  // scanning is done.
+  // One gathered snapshot (and, under kGrid, one swept index whose
+  // bucket order is the snapshot's slot order) serves every scan of the
+  // run. Positions, velocities, and altitudes are only mutated by the
+  // commit phase below, after all scanning is done.
   core::kern::SoaSnapshot snap;
-  snap.gather(db);
-  const core::kern::SoaView view = snap.view();
   core::spatial::SweptIndex swept;
   const core::spatial::SweptIndex* index = nullptr;
+  const std::int32_t* ids = nullptr;
   if (params.broadphase == core::spatial::BroadphaseMode::kGrid) {
     build_swept_index(db, params, swept);
     index = &swept;
+    ids = swept.order().data();
+    snap.gather(db, swept.order());
+  } else {
+    snap.gather(db);
   }
+  const core::kern::SoaView view = snap.view();
 
   ScanWork work;
   ScanScratch scratch;
@@ -182,7 +197,7 @@ Task23Stats detect_and_resolve(airfield::FlightDb& db,
   for (std::size_t i = 0; i < n; ++i) {
     // Task 2: detection on the current path.
     DetectOutcome det = scan_candidates(
-        view, /*ids=*/nullptr, static_cast<std::int32_t>(i), db.x[i],
+        view, ids, static_cast<std::int32_t>(i), db.x[i],
         db.y[i], db.alt[i], db.dx[i], db.dy[i], params, kernel, work,
         /*stop_at_critical=*/false, index, scratch);
     if (det.conflict) {
@@ -201,7 +216,7 @@ Task23Stats detect_and_resolve(airfield::FlightDb& db,
       const core::Vec2 trial = core::rotate_deg(vel, angle);
       ++stats.rescans;
       const DetectOutcome check = scan_candidates(
-          view, /*ids=*/nullptr, static_cast<std::int32_t>(i), db.x[i],
+          view, ids, static_cast<std::int32_t>(i), db.x[i],
           db.y[i], db.alt[i], trial.x, trial.y, params, kernel, work,
           /*stop_at_critical=*/true, index, scratch);
       if (!check.critical) {

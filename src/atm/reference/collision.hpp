@@ -49,30 +49,33 @@ struct ScanWork {
   std::uint64_t lanes_masked = 0;     ///< SIMD tail lanes masked off.
 };
 
-/// Reusable per-scan buffers: the broadphase candidate gather plus one
-/// block of kernel output. Thread-confined — every concurrent scanner
-/// (MIMD worker, sector task) owns its own.
+/// Reusable per-scan buffers: one block of kernel output. Thread-confined
+/// — every concurrent scanner (MIMD worker, sector task) owns its own.
 struct ScanScratch {
-  std::vector<std::int32_t> cand;          ///< Broadphase candidates.
   core::kern::AlignedVector<double> tmin;  ///< Kernel block output.
   std::vector<std::uint8_t> flags;         ///< Kernel block output.
 };
 
 /// Scan one track (position (xi, yi, alti), velocity (vx, vy)) against
-/// every aircraft slot in `view` through the band-intersection batch
-/// kernel. This is the single detection scan every host path runs:
+/// aircraft slots in `view` through the band-intersection batch kernel.
+/// This is the single detection scan every host path runs:
 ///
 ///  * `view` is a gathered snapshot (the whole FlightDb, or one sector's
 ///    owned + halo buffers);
 ///  * `ids[slot]` maps a view slot to its aircraft id (nullptr = slots
 ///    are the ids); `self` is excluded by id, and DetectOutcome.partner
 ///    is reported as an id;
-///  * `index`, when non-null, must be built over the same slots as
-///    `view`; the scan then feeds only its candidates to the kernel;
-///  * when `stop_at_critical` is set the scan consumes candidates (in
-///    enumeration order, blockwise) only up to the first critical
-///    conflict — the work counters tally exactly the consumed lanes, so
-///    they match the historical one-at-a-time early exit.
+///  * without an `index` the scan reads every slot, in slot order;
+///  * with an `index`, `view` must be gathered in `index->order()` (slot
+///    k = bucket position k, so `ids` composes the order with the
+///    snapshot's own slot -> id map). The scan then reads only the
+///    index's runs, each a contiguous slot range, in for_each_run order
+///    — the order for_each_candidate visits ids in;
+///  * when `stop_at_critical` is set the scan consumes lanes (in that
+///    order, blockwise) only up to the first critical conflict — the work
+///    counters tally exactly the consumed lanes, so they match the
+///    historical one-at-a-time early exit, and the MIMD model, which
+///    charges them, sees the same work.
 ///
 /// The soonest conflict is selected with an explicit (time_min, partner
 /// id) tie-break, so the outcome is independent of enumeration order and
@@ -88,9 +91,10 @@ DetectOutcome scan_candidates(const core::kern::SoaView& view,
                               ScanScratch& scratch);
 
 /// Convenience oracle form over a FlightDb: gathers a throwaway snapshot
-/// and runs scan_candidates for aircraft i with path (vx, vy). Tests use
-/// this as the single-scan semantic oracle; the task drivers gather once
-/// and call scan_candidates directly.
+/// (in `index`'s bucket order when one is given; the index must be built
+/// over `db`) and runs scan_candidates for aircraft i with path (vx, vy).
+/// Tests use this as the single-scan semantic oracle; the task drivers
+/// gather once and call scan_candidates directly.
 DetectOutcome scan_against_all(const airfield::FlightDb& db, std::size_t i,
                                double vx, double vy,
                                const Task23Params& params, ScanWork& work,
@@ -98,11 +102,16 @@ DetectOutcome scan_against_all(const airfield::FlightDb& db, std::size_t i,
                                const core::spatial::SweptIndex* index =
                                    nullptr);
 
+/// The swept-index geometry of a Tasks 2+3 run: the params' horizon,
+/// band, and altitude gate.
+[[nodiscard]] core::spatial::SweptIndexParams swept_index_params(
+    const Task23Params& params);
+
 /// Fill `index` from db's current positions, velocities, and altitudes
-/// using the params' horizon, band, and altitude gate. The index stays
-/// valid for every scan of the run (detection and trial rotations):
-/// detect_and_resolve never moves an aircraft before the commit phase,
-/// and a trial rotation preserves the speed the query expands by.
+/// using swept_index_params(params). The index stays valid for every scan
+/// of the run (detection and trial rotations): detect_and_resolve never
+/// moves an aircraft before the commit phase, and a trial rotation
+/// preserves the speed the query expands by.
 void build_swept_index(const airfield::FlightDb& db,
                        const Task23Params& params,
                        core::spatial::SweptIndex& index);

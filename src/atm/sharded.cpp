@@ -335,11 +335,12 @@ Task23Stats detect_and_resolve(airfield::FlightDb& db,
 
   // One task per sector: gather the snapshot (positions, velocities,
   // altitudes of owned + halo), optionally build the sector's swept
-  // index, then run detection and the trial rotations for every owned
-  // aircraft against the snapshot. All db writes target owned aircraft —
-  // the owner partition is disjoint, so every write has one writer; the
-  // snapshot fields (x/y/dx/dy/alt) are never written before the commit
-  // phase below, so concurrent gathers race with nothing.
+  // index and re-gather the snapshot in its bucket order, then run
+  // detection and the trial rotations for every owned aircraft against
+  // the snapshot. All db writes target owned aircraft — the owner
+  // partition is disjoint, so every write has one writer; the snapshot
+  // fields (x/y/dx/dy/alt) are never written before the commit phase
+  // below, so concurrent gathers race with nothing.
   pool.parallel_for(0, sectors, 1, [&](std::size_t s) {
     const std::span<const std::int32_t> owned = scratch.partition.owned(s);
     const std::span<const std::int32_t> cand =
@@ -349,34 +350,25 @@ Task23Stats detect_and_resolve(airfield::FlightDb& db,
     tele.sector_candidates[s] = cand.size();
 
     ShardScratch::SectorBuffers& buf = scratch.sectors[s];
-    buf.x.resize(cand.size());
-    buf.y.resize(cand.size());
-    buf.dx.resize(cand.size());
-    buf.dy.resize(cand.size());
-    buf.alt.resize(cand.size());
+    buf.snap.gather(db, cand);
     buf.id.assign(cand.begin(), cand.end());
-    for (std::size_t k = 0; k < cand.size(); ++k) {
-      const auto j = static_cast<std::size_t>(cand[k]);
-      buf.x[k] = db.x[j];
-      buf.y[k] = db.y[j];
-      buf.dx[k] = db.dx[j];
-      buf.dy[k] = db.dy[j];
-      buf.alt[k] = db.alt[j];
-    }
+    const core::spatial::SweptIndex* index = nullptr;
     if (use_index) {
-      core::spatial::SweptIndexParams ip;
-      ip.horizon_periods = params.horizon_periods;
-      ip.band_nm = params.band_nm;
-      ip.altitude_gate_feet = params.altitude_gate_feet;
-      buf.swept.build(buf.x, buf.y, buf.dx, buf.dy, buf.alt, ip);
+      buf.swept.build(buf.snap.x, buf.snap.y, buf.snap.dx, buf.snap.dy,
+                      buf.snap.alt, reference::swept_index_params(params));
+      const std::span<const std::int32_t> order = buf.swept.order();
+      for (std::size_t k = 0; k < order.size(); ++k) {
+        buf.id[k] = cand[static_cast<std::size_t>(order[k])];
+      }
+      buf.snap.gather(db, buf.id);
+      index = &buf.swept;
     }
 
     // Detection through the shared scan: the sector's snapshot view with
     // buf.id as the slot -> aircraft map, so self-exclusion, the
     // (time_min, id) tie-break, and the reported partner all use global
     // ids — identical to the monolithic scan over a candidate superset.
-    const core::kern::SoaView view = buf.view();
-    const core::spatial::SweptIndex* index = use_index ? &buf.swept : nullptr;
+    const core::kern::SoaView view = buf.snap.view();
     SectorTally& t = tally[s];
     for (const std::int32_t id : owned) {
       const auto i = static_cast<std::size_t>(id);

@@ -69,10 +69,12 @@ struct ShardScratch {
   core::spatial::SectorPartition partition;
 
   /// One sector task's gathered snapshot plus its optional broadphase.
-  /// The snapshot arrays are aligned for the batch kernels; `view()`
-  /// exposes the Tasks 2+3 snapshot in kernel form.
+  /// `id[slot]` is the global aircraft id of a snapshot slot. Under kGrid
+  /// the Tasks 2+3 snapshot is gathered twice into the same buffers:
+  /// in candidate order to build the swept index, then in the index's
+  /// bucket order, which is the order the scan reads.
   struct SectorBuffers {
-    core::kern::AlignedVector<double> x, y, dx, dy, alt;  ///< Tasks 2+3.
+    core::kern::SoaSnapshot snap;              ///< Tasks 2+3 snapshot.
     core::kern::AlignedVector<double> ex, ey;  ///< Task 1 snapshot.
     std::vector<std::int32_t> id;           ///< Global ids of the snapshot.
     std::vector<std::int32_t> cand;         ///< Task 1 grid candidates.
@@ -80,11 +82,6 @@ struct ShardScratch {
     reference::ScanScratch scan;            ///< Tasks 2+3 scan buffers.
     core::spatial::SweptIndex swept;
     core::spatial::UniformGrid2D grid;
-
-    [[nodiscard]] core::kern::SoaView view() const {
-      return {x.data(), y.data(), dx.data(), dy.data(), alt.data(),
-              x.size()};
-    }
   };
   std::vector<SectorBuffers> sectors;
 

@@ -14,7 +14,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <new>
+#include <span>
 #include <vector>
 
 namespace atm::core::kern {
@@ -72,7 +74,8 @@ struct SoaView {
 
 /// Owning SoA snapshot of positions, velocities, and altitudes, gathered
 /// once per task run from any db-like source exposing x/y/dx/dy/alt
-/// sequences (airfield::FlightDb, or a sector's candidate subset).
+/// sequences (airfield::FlightDb): the whole table, or the rows an
+/// `order` lists (a sector's candidates, a swept index's bucket order).
 struct SoaSnapshot {
   AlignedVector<double> x, y, dx, dy, alt;
 
@@ -88,6 +91,27 @@ struct SoaSnapshot {
     dx.assign(db.dx.begin(), db.dx.end());
     dy.assign(db.dy.begin(), db.dy.end());
     alt.assign(db.alt.begin(), db.alt.end());
+  }
+
+  /// Copy rows order[0], order[1], ... into slots 0, 1, ...: slot k holds
+  /// db row order[k]. Reuses the buffers, so a sector can gather its
+  /// candidates and later re-gather them in bucket order in place.
+  template <typename Db>
+  void gather(const Db& db, std::span<const std::int32_t> order) {
+    const std::size_t m = order.size();
+    x.resize(m);
+    y.resize(m);
+    dx.resize(m);
+    dy.resize(m);
+    alt.resize(m);
+    for (std::size_t k = 0; k < m; ++k) {
+      const auto j = static_cast<std::size_t>(order[k]);
+      x[k] = db.x[j];
+      y[k] = db.y[j];
+      dx[k] = db.dx[j];
+      dy[k] = db.dy[j];
+      alt[k] = db.alt[j];
+    }
   }
 
   [[nodiscard]] SoaView view() const {

@@ -50,32 +50,24 @@ void SectorPartition::build(std::span<const double> xs,
   owned_ids_.clear();
   cand_ids_.clear();
 
-  // Bounds from the inserted points (clamping makes any query valid).
-  bool any = false;
-  double min_x = 0.0, max_x = 0.0, min_y = 0.0, max_y = 0.0;
+  // Bounds from the inserted points' finite coordinates (clamping makes
+  // any query valid).
+  FiniteRange range_x, range_y;
   std::size_t masked_in = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (!inserted(i)) continue;
     ++masked_in;
-    if (!any) {
-      min_x = max_x = xs[i];
-      min_y = max_y = ys[i];
-      any = true;
-      continue;
-    }
-    min_x = std::min(min_x, xs[i]);
-    max_x = std::max(max_x, xs[i]);
-    min_y = std::min(min_y, ys[i]);
-    max_y = std::max(max_y, ys[i]);
+    range_x.add(xs[i]);
+    range_y.add(ys[i]);
   }
-  min_x_ = min_x;
-  min_y_ = min_y;
-  if (!any) {
+  min_x_ = range_x.min();
+  min_y_ = range_y.min();
+  if (masked_in == 0) {
     inv_cell_x_ = inv_cell_y_ = 0.0;
     return;
   }
-  const double span_x = max_x - min_x;
-  const double span_y = max_y - min_y;
+  const double span_x = range_x.max() - range_x.min();
+  const double span_y = range_y.max() - range_y.min();
   inv_cell_x_ = span_x > 0.0 ? static_cast<double>(axis_) / span_x : 0.0;
   inv_cell_y_ = span_y > 0.0 ? static_cast<double>(axis_) / span_y : 0.0;
 

@@ -33,6 +33,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/core/spatial/clamp.hpp"
+
 namespace atm::core::spatial {
 
 /// Whether a host task splits its scan into per-sector tasks.
@@ -56,7 +58,8 @@ class SectorPartition {
  public:
   /// Rebuild from points (xs[i], ys[i]) for every i with mask[i] != 0 (an
   /// empty mask inserts all points). Bounds are taken from the inserted
-  /// points; out-of-range coordinates clamp into the edge sectors, like
+  /// points' finite coordinates; out-of-range and non-finite coordinates
+  /// clamp into the edge sectors (NaN into the first), like
   /// UniformGrid2D. Each inserted point is owned by exactly one sector
   /// and listed as a candidate of every sector within `halo_reach_nm`
   /// per axis. Buffers are reused across builds; O(n + sectors).
@@ -115,16 +118,10 @@ class SectorPartition {
 
  private:
   [[nodiscard]] int col_of(double x) const {
-    const double c = (x - min_x_) * inv_cell_x_;
-    if (c <= 0.0) return 0;
-    const int ci = static_cast<int>(c);
-    return ci >= axis_ ? axis_ - 1 : ci;
+    return clamped_cell((x - min_x_) * inv_cell_x_, axis_);
   }
   [[nodiscard]] int row_of(double y) const {
-    const double r = (y - min_y_) * inv_cell_y_;
-    if (r <= 0.0) return 0;
-    const int ri = static_cast<int>(r);
-    return ri >= axis_ ? axis_ - 1 : ri;
+    return clamped_cell((y - min_y_) * inv_cell_y_, axis_);
   }
 
   double min_x_ = 0.0, min_y_ = 0.0;

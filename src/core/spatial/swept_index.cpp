@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/core/check.hpp"
+#include "src/core/spatial/clamp.hpp"
 
 namespace atm::core::spatial {
 
@@ -32,31 +33,39 @@ void SweptIndex::build(std::span<const double> x, std::span<const double> y,
     return;
   }
 
-  double min_x = x[0], max_x = x[0], min_y = y[0], max_y = y[0];
-  double min_alt = alt[0], max_alt = alt[0];
+  // Bounds over the finite coordinates only: a NaN or infinite one clamps
+  // into an edge bucket instead of stretching the grid. An infinite speed
+  // is kept — it widens every query to the whole grid, which stays exact
+  // — and only a NaN speed, outside the contract anyway, is skipped.
+  FiniteRange range_x, range_y, range_alt;
   double speed_sum = 0.0;
+  std::size_t speeds = 0;
   max_speed_ = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    min_x = std::min(min_x, x[i]);
-    max_x = std::max(max_x, x[i]);
-    min_y = std::min(min_y, y[i]);
-    max_y = std::max(max_y, y[i]);
-    min_alt = std::min(min_alt, alt[i]);
-    max_alt = std::max(max_alt, alt[i]);
+    range_x.add(x[i]);
+    range_y.add(y[i]);
+    range_alt.add(alt[i]);
     const double speed = std::sqrt(dx[i] * dx[i] + dy[i] * dy[i]);
+    if (std::isnan(speed)) continue;
     speed_sum += speed;
+    ++speeds;
     max_speed_ = std::max(max_speed_, speed);
   }
+  const double min_x = range_x.min(), max_x = range_x.max();
+  const double min_y = range_y.min(), max_y = range_y.max();
+  const double min_alt = range_alt.min(), max_alt = range_alt.max();
   min_x_ = min_x;
   min_y_ = min_y;
   min_alt_ = min_alt;
 
   // Altitude slabs, one gate-width tall. A non-positive gate degenerates
-  // to a single slab (no altitude pruning, still exact).
+  // to a single slab (no altitude pruning, still exact). The slab count
+  // is capped at kMaxSlabs — the top slab then absorbs everything above;
+  // clamping is monotone and moves no pair more than one slab apart, so
+  // the adjacent-slab query stays exact.
   if (params.altitude_gate_feet > 0.0) {
     inv_slab_ = 1.0 / params.altitude_gate_feet;
-    slabs_ = std::max(
-        1, static_cast<int>((max_alt - min_alt) * inv_slab_) + 1);
+    slabs_ = cells_covering((max_alt - min_alt) * inv_slab_, kMaxSlabs);
   } else {
     inv_slab_ = 0.0;
     slabs_ = 1;
@@ -66,7 +75,8 @@ void SweptIndex::build(std::span<const double> x, std::span<const double> y,
   // touches O(1) cells; when the sweep saturates the field the grid
   // collapses to 1x1 and the slabs carry all the pruning.
   const double extent = std::max(max_x - min_x, max_y - min_y);
-  const double mean_speed = speed_sum / static_cast<double>(n);
+  const double mean_speed =
+      speeds > 0 ? speed_sum / static_cast<double>(speeds) : 0.0;
   const double typical_reach =
       band_ + (mean_speed + max_speed_) * horizon_;
   const int max_cells = std::max(1, params.max_cells_per_axis);
@@ -74,8 +84,8 @@ void SweptIndex::build(std::span<const double> x, std::span<const double> y,
                          extent / static_cast<double>(max_cells));
   cell = std::max(cell, 1e-9);
   inv_cell_ = 1.0 / cell;
-  cols_ = std::max(1, static_cast<int>((max_x - min_x) * inv_cell_) + 1);
-  rows_ = std::max(1, static_cast<int>((max_y - min_y) * inv_cell_) + 1);
+  cols_ = cells_covering((max_x - min_x) * inv_cell_, max_cells + 1);
+  rows_ = cells_covering((max_y - min_y) * inv_cell_, max_cells + 1);
 
   // Slab-bounds contract: the highest altitude (and the farthest xy
   // corner) must clamp into the top bucket, or cell_of below indexes past

@@ -21,7 +21,21 @@
 // Batcher pair test against aircraft i at any velocity of magnitude
 // `speed`; each inserted id is enumerated at most once. The caller
 // re-applies the exact gate and pair test, so outcomes are identical to a
-// brute-force scan.
+// brute-force scan. Bounds come from the finite coordinates only, and a
+// NaN or infinite coordinate clamps into an edge bucket (clamp.hpp)
+// instead of indexing out of bounds. That keeps the contract for every
+// track without a NaN: an infinite coordinate never passes the exact
+// tests, and an infinite speed widens every query to the whole grid.
+// A NaN position or velocity is outside it — the pair test treats a NaN
+// axis as always overlapping, but the NaN track sits in one bucket.
+//
+// Bucket order: build() counting-sorts the inserted ids by (slab, row,
+// col) bucket, keeping input order inside a bucket; order() exposes that
+// permutation. The buckets of one (slab, row) of a query box are adjacent
+// in it, so a snapshot gathered in bucket order turns each of them into
+// one contiguous slot range — `for_each_run` — that a batch kernel reads
+// with plain vector loads instead of one gather per candidate.
+// `for_each_candidate` visits exactly the ids of those runs, in order.
 //
 // The index is immutable after build() and safe to query from many
 // threads concurrently (the MIMD backend does).
@@ -31,6 +45,8 @@
 #include <cstdint>
 #include <span>
 #include <vector>
+
+#include "src/core/spatial/clamp.hpp"
 
 namespace atm::core::spatial {
 
@@ -59,13 +75,20 @@ class SweptIndex {
   [[nodiscard]] int rows() const { return rows_; }
   [[nodiscard]] double max_speed() const { return max_speed_; }
 
-  /// Visit every candidate id for a track starting at (xi, yi), altitude
-  /// alti, moving at `speed` nm/period in any direction. The visitor
-  /// returns true to stop the enumeration early (the Task-3 trial check
-  /// stops at the first critical conflict).
+  /// Bucket position -> input slot: the inserted ids in bucket order.
+  /// A snapshot gathered through this permutation has slot k = bucket
+  /// position k, the slots for_each_run reports.
+  [[nodiscard]] std::span<const std::int32_t> order() const { return ids_; }
+
+  /// Visit the candidate buckets of a track starting at (xi, yi), altitude
+  /// alti, moving at `speed` nm/period in any direction, as contiguous
+  /// bucket-position ranges [begin, end): one per (slab, row) of the
+  /// query box, slab-major, empty ones skipped. The visitor returns true
+  /// to stop the enumeration early (the Task-3 trial check stops at the
+  /// first critical conflict).
   template <typename Fn>
-  void for_each_candidate(double xi, double yi, double alti, double speed,
-                          Fn&& fn) const {
+  void for_each_run(double xi, double yi, double alti, double speed,
+                    Fn&& fn) const {
     if (ids_.empty()) return;
     const double reach = band_ + (speed + max_speed_) * horizon_;
     const int cx0 = col_of(xi - reach);
@@ -79,41 +102,46 @@ class SweptIndex {
         static_cast<std::size_t>(cols_) * static_cast<std::size_t>(rows_);
     for (int si = s0; si <= s1; ++si) {
       for (int cy = cy0; cy <= cy1; ++cy) {
-        for (int cx = cx0; cx <= cx1; ++cx) {
-          const std::size_t cell =
-              static_cast<std::size_t>(si) * slab_stride +
-              static_cast<std::size_t>(cy) * static_cast<std::size_t>(cols_) +
-              static_cast<std::size_t>(cx);
-          for (std::int32_t k = cell_start_[cell];
-               k < cell_start_[cell + 1]; ++k) {
-            if (fn(static_cast<std::size_t>(
-                    ids_[static_cast<std::size_t>(k)]))) {
-              return;
-            }
-          }
-        }
+        const std::size_t row =
+            static_cast<std::size_t>(si) * slab_stride +
+            static_cast<std::size_t>(cy) * static_cast<std::size_t>(cols_);
+        const auto begin = static_cast<std::size_t>(
+            cell_start_[row + static_cast<std::size_t>(cx0)]);
+        const auto end = static_cast<std::size_t>(
+            cell_start_[row + static_cast<std::size_t>(cx1) + 1]);
+        if (begin < end && fn(begin, end)) return;
       }
     }
   }
 
+  /// The ids of for_each_run's runs, one at a time and in the same order.
+  /// The visitor returns true to stop early.
+  template <typename Fn>
+  void for_each_candidate(double xi, double yi, double alti, double speed,
+                          Fn&& fn) const {
+    for_each_run(xi, yi, alti, speed, [&](std::size_t begin,
+                                          std::size_t end) {
+      for (std::size_t k = begin; k < end; ++k) {
+        if (fn(static_cast<std::size_t>(ids_[k]))) return true;
+      }
+      return false;
+    });
+  }
+
  private:
+  /// Slab-count cap: far above any real altitude range (1024 gates is
+  /// over 200,000 ft at the smallest scenario gate), so it only bounds the
+  /// table when a huge finite altitude stretches the range.
+  static constexpr int kMaxSlabs = 1024;
+
   [[nodiscard]] int col_of(double x) const {
-    const double c = (x - min_x_) * inv_cell_;
-    if (c <= 0.0) return 0;
-    const int ci = static_cast<int>(c);
-    return ci >= cols_ ? cols_ - 1 : ci;
+    return clamped_cell((x - min_x_) * inv_cell_, cols_);
   }
   [[nodiscard]] int row_of(double y) const {
-    const double r = (y - min_y_) * inv_cell_;
-    if (r <= 0.0) return 0;
-    const int ri = static_cast<int>(r);
-    return ri >= rows_ ? rows_ - 1 : ri;
+    return clamped_cell((y - min_y_) * inv_cell_, rows_);
   }
   [[nodiscard]] int slab_of(double alt) const {
-    const double s = (alt - min_alt_) * inv_slab_;
-    if (s <= 0.0) return 0;
-    const int si = static_cast<int>(s);
-    return si >= slabs_ ? slabs_ - 1 : si;
+    return clamped_cell((alt - min_alt_) * inv_slab_, slabs_);
   }
 
   double min_x_ = 0.0, min_y_ = 0.0, min_alt_ = 0.0;

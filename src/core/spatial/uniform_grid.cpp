@@ -16,21 +16,14 @@ void UniformGrid2D::build(std::span<const double> xs,
     return mask.empty() || mask[i] != 0;
   };
 
-  // Bounds over the inserted points.
+  // Bounds over the inserted points' finite coordinates.
   bool any = false;
-  double min_x = 0.0, max_x = 0.0, min_y = 0.0, max_y = 0.0;
+  FiniteRange rx, ry;
   for (std::size_t i = 0; i < n; ++i) {
     if (!included(i)) continue;
-    if (!any) {
-      min_x = max_x = xs[i];
-      min_y = max_y = ys[i];
-      any = true;
-    } else {
-      min_x = std::min(min_x, xs[i]);
-      max_x = std::max(max_x, xs[i]);
-      min_y = std::min(min_y, ys[i]);
-      max_y = std::max(max_y, ys[i]);
-    }
+    any = true;
+    rx.add(xs[i]);
+    ry.add(ys[i]);
   }
   if (!any) {
     ids_.clear();
@@ -39,23 +32,20 @@ void UniformGrid2D::build(std::span<const double> xs,
     return;
   }
 
-  ATM_CHECK_MSG(std::isfinite(min_x) && std::isfinite(max_x) &&
-                    std::isfinite(min_y) && std::isfinite(max_y),
-                "non-finite point bounds: x=[" << min_x << ", " << max_x
-                                               << "] y=[" << min_y << ", "
-                                               << max_y << "]");
-  const double extent = std::max(max_x - min_x, max_y - min_y);
+  const double extent = std::max(rx.max() - rx.min(), ry.max() - ry.min());
   double cell = std::max(cell_hint_nm, 1e-9);
   if (max_cells_per_axis < 1) max_cells_per_axis = 1;
   cell = std::max(cell, extent / static_cast<double>(max_cells_per_axis));
-  min_x_ = min_x;
-  min_y_ = min_y;
+  min_x_ = rx.min();
+  min_y_ = ry.min();
   inv_cell_ = 1.0 / cell;
-  cols_ = std::max(1, static_cast<int>((max_x - min_x) * inv_cell_) + 1);
-  rows_ = std::max(1, static_cast<int>((max_y - min_y) * inv_cell_) + 1);
+  cols_ = cells_covering((rx.max() - rx.min()) * inv_cell_,
+                         max_cells_per_axis + 1);
+  rows_ = cells_covering((ry.max() - ry.min()) * inv_cell_,
+                         max_cells_per_axis + 1);
   // Clamping contract: every inserted point must land inside the grid, or
   // the CSR placement below writes out of bounds.
-  ATM_CHECK_MSG(col_of(max_x) < cols_ && row_of(max_y) < rows_,
+  ATM_CHECK_MSG(col_of(rx.max()) < cols_ && row_of(ry.max()) < rows_,
                 "clamp overflow: cols=" << cols_ << " rows=" << rows_
                                         << " inv_cell=" << inv_cell_);
 

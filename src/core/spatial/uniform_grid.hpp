@@ -19,16 +19,20 @@
 #include <span>
 #include <vector>
 
+#include "src/core/spatial/clamp.hpp"
+
 namespace atm::core::spatial {
 
 class UniformGrid2D {
  public:
   /// Rebuild the grid from points (xs[i], ys[i]) for every i with
   /// mask[i] != 0 (an empty mask inserts all points). Bounds are taken
-  /// from the inserted points. `cell_hint_nm` is the preferred cell edge (nm)
-  /// length (the caller's query box width is a good choice: a query then
-  /// touches at most 4 cells); it is enlarged as needed to keep the grid
-  /// within `max_cells_per_axis` cells per axis.
+  /// from the inserted points' finite coordinates; a NaN or infinite
+  /// coordinate clamps into an edge cell (no exact box test accepts it).
+  /// `cell_hint_nm` is the preferred cell edge (nm) length (the caller's
+  /// query box width is a good choice: a query then touches at most 4
+  /// cells); it is enlarged as needed to keep the grid within
+  /// `max_cells_per_axis` cells per axis.
   ///
   /// Buffers are reused across builds; rebuilding every pass is O(n +
   /// cells).
@@ -65,20 +69,14 @@ class UniformGrid2D {
   }
 
  private:
-  /// Column of x, clamped into [0, cols-1] (out-of-bounds queries and
-  /// points land in the edge cells; the caller's exact test rejects any
-  /// false candidates this produces).
+  /// Column / row clamped into the grid (clamp.hpp): out-of-bounds and
+  /// non-finite queries and points land in the edge cells; the caller's
+  /// exact test rejects any false candidates this produces.
   [[nodiscard]] int col_of(double x) const {
-    const double c = (x - min_x_) * inv_cell_;
-    if (c <= 0.0) return 0;
-    const int ci = static_cast<int>(c);
-    return ci >= cols_ ? cols_ - 1 : ci;
+    return clamped_cell((x - min_x_) * inv_cell_, cols_);
   }
   [[nodiscard]] int row_of(double y) const {
-    const double r = (y - min_y_) * inv_cell_;
-    if (r <= 0.0) return 0;
-    const int ri = static_cast<int>(r);
-    return ri >= rows_ ? rows_ - 1 : ri;
+    return clamped_cell((y - min_y_) * inv_cell_, rows_);
   }
 
   double min_x_ = 0.0;

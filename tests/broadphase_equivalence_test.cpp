@@ -8,13 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "src/airfield/setup.hpp"
 #include "src/atm/mimd_backend.hpp"
 #include "src/atm/pipeline.hpp"
+#include "src/atm/reference/collision.hpp"
 #include "src/atm/reference_backend.hpp"
 #include "src/atm/scenarios.hpp"
+#include "src/core/kern/band_math.hpp"
+#include "src/core/vec2.hpp"
 
 namespace atm::tasks {
 namespace {
@@ -45,6 +49,97 @@ PipelineConfig config_with_mode(const Scenario& scenario,
 
 class BroadphaseEquivalenceTest : public ::testing::TestWithParam<Scenario> {
 };
+
+/// The one-at-a-time grid scan, written against band_math.hpp directly:
+/// visit for_each_candidate's ids in order, skip self, count the
+/// candidate, apply the altitude gate, count the test, run the pair test,
+/// stop at the first critical conflict when asked. The counters it
+/// produces are what the MIMD model charges under kGrid.
+reference::DetectOutcome one_at_a_time(const airfield::FlightDb& db,
+                                       const core::spatial::SweptIndex& index,
+                                       std::size_t i, double vx, double vy,
+                                       const Task23Params& p, bool stop,
+                                       reference::ScanWork& work) {
+  reference::DetectOutcome out;
+  double soonest = p.horizon_periods + 1.0;
+  index.for_each_candidate(
+      db.x[i], db.y[i], db.alt[i], std::sqrt(vx * vx + vy * vy),
+      [&](std::size_t j) {
+        if (j == i) return false;
+        ++work.pair_candidates;
+        if (!core::kern::altitude_gate_pass(db.alt[i], db.alt[j],
+                                            p.altitude_gate_feet)) {
+          return false;
+        }
+        ++work.pair_tests;
+        const core::kern::PairWindow w = core::kern::pair_band_test(
+            db.x[j] - db.x[i], db.y[j] - db.y[i], db.dx[j] - vx,
+            db.dy[j] - vy, p.band_nm, p.horizon_periods);
+        if (!w.conflict) return false;
+        out.conflict = true;
+        const auto id = static_cast<std::int32_t>(j);
+        if (w.time_min < soonest ||
+            (w.time_min == soonest && id < out.partner)) {
+          soonest = w.time_min;
+          out.partner = id;
+          out.time_min = w.time_min;
+        }
+        if (w.time_min < p.critical_periods) {
+          out.critical = true;
+          return stop;
+        }
+        return false;
+      });
+  return out;
+}
+
+/// scan_candidates over the bucket-ordered snapshot against
+/// one_at_a_time for every aircraft's detection pass and, for critical
+/// ones, every Task-3 trial rotation. Returns how many scans stopped
+/// early, so callers can tell the early exit was exercised.
+std::size_t expect_scan_lane_order(const airfield::FlightDb& db,
+                                   const Task23Params& params,
+                                   const std::string& where) {
+  core::spatial::SweptIndex index;
+  reference::build_swept_index(db, params, index);
+  core::kern::SoaSnapshot snap;
+  snap.gather(db, index.order());
+  const core::kern::Kernel kernel = core::kern::resolve(params.kernel);
+  reference::ScanScratch scratch;
+  std::size_t early_stops = 0;
+
+  const auto check = [&](std::size_t i, double vx, double vy, bool stop) {
+    reference::ScanWork got_work, want_work;
+    const reference::DetectOutcome got = reference::scan_candidates(
+        snap.view(), index.order().data(), static_cast<std::int32_t>(i),
+        db.x[i], db.y[i], db.alt[i], vx, vy, params, kernel, got_work, stop,
+        &index, scratch);
+    const reference::DetectOutcome want =
+        one_at_a_time(db, index, i, vx, vy, params, stop, want_work);
+    EXPECT_EQ(got.conflict, want.conflict) << where << " aircraft " << i;
+    EXPECT_EQ(got.critical, want.critical) << where << " aircraft " << i;
+    EXPECT_EQ(got.time_min, want.time_min) << where << " aircraft " << i;
+    EXPECT_EQ(got.partner, want.partner) << where << " aircraft " << i;
+    EXPECT_EQ(got_work.pair_candidates, want_work.pair_candidates)
+        << where << " aircraft " << i << (stop ? " (trial)" : "");
+    EXPECT_EQ(got_work.pair_tests, want_work.pair_tests)
+        << where << " aircraft " << i << (stop ? " (trial)" : "");
+    if (stop && want.critical) ++early_stops;
+    return want;
+  };
+
+  const int attempts = reference::max_trial_attempts(params);
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    if (!check(i, db.dx[i], db.dy[i], /*stop=*/false).critical) continue;
+    const core::Vec2 vel{db.dx[i], db.dy[i]};
+    for (int attempt = 0; attempt < attempts; ++attempt) {
+      const core::Vec2 trial = core::rotate_deg(
+          vel, reference::trial_angle_deg(attempt, params.turn_step_deg));
+      check(i, trial.x, trial.y, /*stop=*/true);
+    }
+  }
+  return early_stops;
+}
 
 TEST_P(BroadphaseEquivalenceTest, ReferencePathMatchesBruteForce) {
   ReferenceBackend brute, grid;
@@ -90,6 +185,22 @@ TEST_P(BroadphaseEquivalenceTest, GridMimdMatchesGridReference) {
   EXPECT_EQ(outcome_only(rr.last_task1), outcome_only(rx.last_task1));
   EXPECT_EQ(outcome_only(rr.last_task23), outcome_only(rx.last_task23));
   EXPECT_TRUE(ref.state().same_flight_state(xeon.state()));
+}
+
+TEST_P(BroadphaseEquivalenceTest, ScanConsumesLanesInCandidateOrder) {
+  // The equivalence tests above normalise pair_candidates / pair_tests
+  // away, but under kGrid the MIMD model charges them: the bucket-ordered
+  // run scan must consume exactly the lanes the one-at-a-time candidate
+  // loop did, early exit included. (dense-en-route is the 3000-aircraft
+  // fleet of the bench workloads.)
+  const Scenario& s = GetParam();
+  const airfield::FlightDb db =
+      airfield::make_airfield(s.default_aircraft, 42, s.setup);
+  const std::size_t early_stops =
+      expect_scan_lane_order(db, s.task23, s.name);
+  if (s.name == "dense-en-route") {
+    EXPECT_GT(early_stops, 0u) << "no trial scan stopped early";
+  }
 }
 
 std::string scenario_test_name(

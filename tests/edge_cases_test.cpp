@@ -3,9 +3,15 @@
 // boundaries.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/airfield/setup.hpp"
 #include "src/atm/cuda_backend.hpp"
 #include "src/atm/extended/full_pipeline.hpp"
+#include "src/atm/mimd_backend.hpp"
 #include "src/atm/pipeline.hpp"
 #include "src/atm/platforms.hpp"
 #include "src/atm/reference_backend.hpp"
@@ -134,6 +140,85 @@ TEST(EdgeCases, TinyTurnBudgetLeavesConflictsUnresolved) {
   const Task23Result r = ref.run_task23(params);
   EXPECT_EQ(r.stats.critical, 2u);
   EXPECT_EQ(r.stats.unresolved, 2u);
+}
+
+TEST(EdgeCases, NonFiniteRadarReturnsMatchAcrossBroadphaseAndShards) {
+  // Corrupt returns with NaN, +-inf or 1e300 coordinates. Brute force
+  // leaves them unmatched (no box test accepts them); under kGrid and
+  // kSectors they reach the grid and partition lookups, which must clamp
+  // them instead of indexing out of bounds, and every configuration must
+  // agree with brute force on every outcome.
+  const airfield::FlightDb initial = airfield::make_airfield(400, 11);
+  airfield::RadarFrame frame;
+  {
+    ReferenceBackend gen;
+    gen.load(initial);
+    core::Rng rng(3);
+    frame = gen.generate_radar(rng, {}, nullptr);
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<double, double>> wild{
+      {nan, 0.0},   {0.0, nan},     {nan, nan},    {inf, 0.0},
+      {-inf, 5.0},  {0.0, -inf},    {1e300, 0.0},  {0.0, -1e300},
+      {1e300, 1e300}, {-1e300, inf}};
+  std::vector<std::size_t> corrupt;
+  for (std::size_t k = 0; k < wild.size(); ++k) {
+    const std::size_t r = 7 * k + 3;
+    frame.rx[r] = wild[k].first;
+    frame.ry[r] = wild[k].second;
+    corrupt.push_back(r);
+  }
+
+  const auto run = [&](Backend& backend, core::spatial::BroadphaseMode phase,
+                       core::spatial::ShardMode shard) {
+    backend.load(initial);
+    airfield::RadarFrame f = frame;
+    Task1Params params;
+    params.broadphase = phase;
+    params.shard = shard;
+    params.sectors_per_axis = 4;
+    const Task1Stats stats = backend.run_task1(f, params).stats;
+    return std::make_pair(stats, f.rmatch_with);
+  };
+  ReferenceBackend oracle;
+  const auto [want, want_matches] =
+      run(oracle, core::spatial::BroadphaseMode::kBruteForce,
+          core::spatial::ShardMode::kNone);
+  EXPECT_GT(want.passes, 1) << "no retry pass ran; the rebuilt indexes "
+                               "never saw the corrupt returns twice";
+  for (const std::size_t r : corrupt) {
+    EXPECT_EQ(want_matches[r], airfield::kNone) << "return " << r;
+  }
+
+  const auto outcome_only = [](Task1Stats s) {
+    s.box_tests = 0;
+    s.sectors = 0;
+    s.halo_candidates = 0;
+    s.kernel = -1;
+    s.lanes_masked = 0;
+    return s;
+  };
+  ReferenceBackend ref;
+  MimdBackend xeon;
+  for (Backend* backend : {static_cast<Backend*>(&ref),
+                           static_cast<Backend*>(&xeon)}) {
+    for (const auto phase : {core::spatial::BroadphaseMode::kBruteForce,
+                             core::spatial::BroadphaseMode::kGrid}) {
+      for (const auto shard : {core::spatial::ShardMode::kNone,
+                               core::spatial::ShardMode::kSectors}) {
+        const auto [got, got_matches] = run(*backend, phase, shard);
+        const std::string where =
+            backend->name() + " " +
+            std::string(core::spatial::to_string(phase)) + " " +
+            std::string(core::spatial::to_string(shard));
+        EXPECT_EQ(outcome_only(got), outcome_only(want)) << where;
+        EXPECT_EQ(got_matches, want_matches) << where;
+        EXPECT_TRUE(backend->state().same_flight_state(oracle.state()))
+            << where;
+      }
+    }
+  }
 }
 
 TEST(EdgeCases, TerrainWithoutAttachThrows) {

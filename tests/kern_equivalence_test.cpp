@@ -243,7 +243,9 @@ TEST(KernelDirect, BoxTestTailLanesAndEligibility) {
   ASSERT_LT(ns, kN) << "fixture hit everything; the comparison is vacuous";
   for (std::size_t k = 0; k < ns; ++k) EXPECT_EQ(hits_s[k], hits_v[k]);
   EXPECT_EQ(lanes_s, 0u);
-  if (avx2 == Kernel::kAvx2) EXPECT_EQ(lanes_v, 3u);  // 13 -> 16 lanes
+  if (avx2 == Kernel::kAvx2) {
+    EXPECT_EQ(lanes_v, 3u);  // 13 -> 16 lanes
+  }
 }
 
 TEST(KernelDirect, BoxTestIndexedMatchesScalarOnEveryTail) {

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <set>
 #include <vector>
 
@@ -18,6 +20,14 @@
 
 namespace atm::core::spatial {
 namespace {
+
+/// Coordinates a corrupt radar return or table row can carry: the int
+/// casts behind every cell lookup used to be undefined on all of them.
+std::vector<double> wild_values() {
+  const double inf = std::numeric_limits<double>::infinity();
+  return {std::numeric_limits<double>::quiet_NaN(), inf, -inf, 1e300,
+          -1e300};
+}
 
 TEST(BroadphaseMode, RoundTripsThroughStrings) {
   EXPECT_EQ(to_string(BroadphaseMode::kBruteForce), "brute");
@@ -118,6 +128,43 @@ TEST(UniformGrid2D, FarOutOfBoundsQueryClampsIntoEdgeCells) {
   // Candidates (if any) come from the right edge cells only; the exact
   // test would reject all of them.
   EXPECT_LE(visits, grid.size());
+}
+
+TEST(UniformGrid2D, NonFiniteAndHugeCoordinatesClampIntoEdgeCells) {
+  std::vector<double> xs, ys;
+  for (int i = 0; i < 24; ++i) {
+    xs.push_back(static_cast<double>(i));
+    ys.push_back(0.5 * static_cast<double>(i));
+  }
+  for (const double w : wild_values()) {
+    xs.insert(xs.end(), {w, 4.0, w});
+    ys.insert(ys.end(), {3.0, w, w});
+  }
+  UniformGrid2D grid;
+  grid.build(xs, ys, {}, 2.0);
+  ASSERT_EQ(grid.size(), xs.size());
+
+  std::vector<double> queries = wild_values();
+  queries.insert(queries.end(), {0.0, 7.5, 23.0});
+  for (const double qx : queries) {
+    for (const double qy : queries) {
+      std::vector<int> seen(xs.size(), 0);
+      grid.for_each_in_box(qx - 1.0, qx + 1.0, qy - 1.0, qy + 1.0,
+                           [&](std::size_t id) {
+                             ASSERT_LT(id, xs.size());
+                             ++seen[id];
+                           });
+      for (std::size_t i = 0; i < xs.size(); ++i) {
+        EXPECT_LE(seen[i], 1) << "id " << i << " enumerated twice";
+        // The exactness contract: every point inside the box (a
+        // comparison NaN or inf - inf never passes) is enumerated.
+        if (std::fabs(xs[i] - qx) <= 1.0 && std::fabs(ys[i] - qy) <= 1.0) {
+          EXPECT_EQ(seen[i], 1) << "point " << i << " pruned from query ("
+                                << qx << ", " << qy << ")";
+        }
+      }
+    }
+  }
 }
 
 TEST(UniformGrid2D, RebuildReusesCleanState) {
@@ -261,6 +308,125 @@ TEST(SweptIndex, VisitorCanStopEarly) {
   index.for_each_candidate(f.x[0], f.y[0], f.alt[0], 0.05,
                            [&](std::size_t) { return ++visits >= 3; });
   EXPECT_LE(visits, 3);
+}
+
+TEST(SweptIndex, RunsConcatenateToCandidateOrder) {
+  Rng rng(31);
+  SweptIndexParams p;
+  p.horizon_periods = 120.0;  // short: a real xy grid, several runs
+  p.band_nm = 3.0;
+  p.altitude_gate_feet = 1000.0;
+  const Fleet f = random_fleet(rng, 400, 1000.0, 12000.0);
+  SweptIndex index;
+  index.build(f.x, f.y, f.dx, f.dy, f.alt, p);
+  ASSERT_GT(index.cols(), 1) << "grid collapsed; runs are trivial";
+
+  // order() is a permutation of the input slots.
+  std::vector<std::int32_t> sorted(index.order().begin(),
+                                   index.order().end());
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::int32_t> iota(f.size());
+  std::iota(iota.begin(), iota.end(), 0);
+  ASSERT_EQ(sorted, iota);
+
+  std::size_t multi_run_queries = 0;
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    const double speed = std::hypot(f.dx[i], f.dy[i]);
+    std::vector<std::size_t> by_id;
+    index.for_each_candidate(f.x[i], f.y[i], f.alt[i], speed,
+                             [&](std::size_t id) {
+                               by_id.push_back(id);
+                               return false;
+                             });
+    std::vector<std::size_t> by_run;
+    std::size_t runs = 0;
+    std::size_t prev_end = 0;
+    index.for_each_run(f.x[i], f.y[i], f.alt[i], speed,
+                       [&](std::size_t begin, std::size_t end) {
+                         EXPECT_LT(begin, end) << "empty run reported";
+                         EXPECT_GE(begin, prev_end) << "runs overlap";
+                         EXPECT_LE(end, index.size());
+                         prev_end = end;
+                         ++runs;
+                         for (std::size_t k = begin; k < end; ++k) {
+                           by_run.push_back(static_cast<std::size_t>(
+                               index.order()[k]));
+                         }
+                         return false;
+                       });
+    ASSERT_EQ(by_run, by_id) << "aircraft " << i;
+    multi_run_queries += runs > 1 ? 1u : 0u;
+  }
+  EXPECT_GT(multi_run_queries, 0u) << "every query was a single run";
+}
+
+TEST(SweptIndex, RunVisitorCanStopEarly) {
+  Rng rng(37);
+  SweptIndexParams p;
+  p.horizon_periods = 120.0;
+  p.band_nm = 3.0;
+  p.altitude_gate_feet = 1000.0;
+  const Fleet f = random_fleet(rng, 200, 1000.0, 12000.0);
+  SweptIndex index;
+  index.build(f.x, f.y, f.dx, f.dy, f.alt, p);
+  int runs = 0;
+  index.for_each_run(f.x[0], f.y[0], f.alt[0], 0.05,
+                     [&](std::size_t, std::size_t) { return ++runs >= 1; });
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(SweptIndex, NonFiniteAndHugeCoordinatesStayInBounds) {
+  Rng rng(41);
+  SweptIndexParams p;
+  p.horizon_periods = 120.0;
+  p.band_nm = 3.0;
+  p.altitude_gate_feet = 1000.0;
+  Fleet f = random_fleet(rng, 60, 1000.0, 12000.0);
+  const std::size_t tame = f.size();
+  for (const double w : wild_values()) {
+    // One wild field per row: x, y, alt, then both velocity components.
+    for (int field = 0; field < 4; ++field) {
+      f.x.push_back(field == 0 ? w : 10.0);
+      f.y.push_back(field == 1 ? w : -10.0);
+      f.alt.push_back(field == 2 ? w : 5000.0);
+      f.dx.push_back(field == 3 ? w : 0.01);
+      f.dy.push_back(field == 3 ? w : 0.0);
+    }
+  }
+  SweptIndex index;
+  index.build(f.x, f.y, f.dx, f.dy, f.alt, p);
+  ASSERT_EQ(index.size(), f.size());
+
+  std::vector<double> queries = wild_values();
+  queries.push_back(0.0);
+  for (std::size_t i = 0; i < f.size() + queries.size(); ++i) {
+    const bool row = i < f.size();
+    const double q = row ? 0.0 : queries[i - f.size()];
+    const double xi = row ? f.x[i] : q;
+    const double yi = row ? f.y[i] : q;
+    const double alti = row ? f.alt[i] : q;
+    const double speed = row ? std::hypot(f.dx[i], f.dy[i]) : 0.05;
+    std::vector<int> seen(f.size(), 0);
+    index.for_each_candidate(xi, yi, alti, speed, [&](std::size_t id) {
+      EXPECT_LT(id, f.size());
+      if (id < f.size()) ++seen[id];
+      return false;
+    });
+    for (std::size_t j = 0; j < f.size(); ++j) {
+      EXPECT_LE(seen[j], 1) << "id " << j << " enumerated twice";
+    }
+    // Exactness for the tame rows, whatever else the index holds.
+    if (!row || i >= tame) continue;
+    for (std::size_t j = 0; j < tame; ++j) {
+      const double speed_j = std::hypot(f.dx[j], f.dy[j]);
+      const double reach = p.band_nm + (speed + speed_j) * p.horizon_periods;
+      if (j != i && std::fabs(alti - f.alt[j]) < p.altitude_gate_feet &&
+          std::fabs(xi - f.x[j]) < reach && std::fabs(yi - f.y[j]) < reach) {
+        EXPECT_EQ(seen[j], 1) << "reachable pair (" << i << ", " << j
+                              << ") pruned";
+      }
+    }
+  }
 }
 
 }  // namespace

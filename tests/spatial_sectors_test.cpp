@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/core/rng.hpp"
@@ -145,6 +146,45 @@ TEST(SectorPartition, FarOutOfBoundsQueriesClampIntoEdgeSectors) {
   EXPECT_GE(s, 0);
   EXPECT_LT(s, static_cast<int>(part.sector_count()));
   EXPECT_TRUE(part.covers(1.0e6, 1.0e6, c.xs, c.ys));
+}
+
+TEST(SectorPartition, NonFiniteAndHugeCoordinatesClampIntoEdgeSectors) {
+  // NaN, +-inf and 1e300 points and queries (a corrupt radar return
+  // reaches sector_of through Task 1) used to hit an undefined int cast.
+  // Every point still gets exactly one in-range owner, every query a
+  // valid sector, and the covers contract holds.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> wild{std::numeric_limits<double>::quiet_NaN(),
+                                 inf, -inf, 1e300, -1e300};
+  Cloud c = random_cloud(80, 0xF00D, 128.0);
+  for (const double w : wild) {
+    c.xs.insert(c.xs.end(), {w, 5.0, w});
+    c.ys.insert(c.ys.end(), {-5.0, w, w});
+  }
+  std::vector<double> queries = wild;
+  queries.insert(queries.end(), {0.0, 100.0});
+  for (const int axis : {1, 4}) {
+    SectorPartition part;
+    part.build(c.xs, c.ys, {}, /*halo_reach_nm=*/3.0, axis);
+    std::size_t owned = 0;
+    for (std::size_t s = 0; s < part.sector_count(); ++s) {
+      owned += part.owned(s).size();
+    }
+    EXPECT_EQ(owned, c.xs.size());
+    for (std::size_t i = 0; i < c.xs.size(); ++i) {
+      EXPECT_GE(part.owner_of(i), 0);
+      EXPECT_LT(part.owner_of(i), static_cast<int>(part.sector_count()));
+    }
+    for (const double qx : queries) {
+      for (const double qy : queries) {
+        const int s = part.sector_of(qx, qy);
+        EXPECT_GE(s, 0);
+        EXPECT_LT(s, static_cast<int>(part.sector_count()));
+        EXPECT_TRUE(part.covers(qx, qy, c.xs, c.ys))
+            << "axis=" << axis << " query=(" << qx << ", " << qy << ")";
+      }
+    }
+  }
 }
 
 TEST(SectorPartition, SingleSectorOwnsAndListsEverything) {
