@@ -8,16 +8,24 @@
 // real-time computations." This bench sweeps radar coverage (tower count)
 // at a fixed aircraft count and measures the multi-return correlation on
 // every platform, plus the correlation-quality payoff.
+//
+// `--json <path>` writes one row per (towers, backend) with host wall ms,
+// modeled ms and the outcome digest; CI checks the digests against
+// bench/baselines/BENCH_radar_load.json.
 #include <iostream>
 
 #include "bench/common.hpp"
 #include "src/airfield/setup.hpp"
 #include "src/atm/platforms.hpp"
 #include "src/core/table.hpp"
+#include "src/rt/clock.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace atm;
   constexpr std::size_t kAircraft = 2000;
+  bench::JsonReport report("radar_load",
+                           bench::json_path_from_args(argc, argv));
+  report.add_param("aircraft", static_cast<long long>(kAircraft));
 
   // Tower grids 1x1 (the paper's single-return regime) through 4x4.
   std::cout << "\n== Multi-tower correlation: " << kAircraft
@@ -38,7 +46,15 @@ int main() {
       core::Rng rng(9);
       auto frame = airfield::generate_multi_radar(backend->state(), towers,
                                                   rng, {});
+      const rt::Stopwatch sw;
       const tasks::MultiRadarResult r = backend->run_multi_task1(frame, {});
+      const double wall_ms = sw.elapsed_ms();
+      report.begin_result();
+      report.add_field("towers", static_cast<long long>(towers.size()));
+      report.add_field("backend", backend->name());
+      report.add_field("wall_ms", wall_ms);
+      report.add_field("modeled_ms", r.modeled_ms);
+      report.add_field("digest", bench::outcome_digest(r.stats));
       table.begin_row();
       table.add_cell(static_cast<long long>(towers.size()));
       table.add_cell(static_cast<long long>(frame.size()));
@@ -58,5 +74,5 @@ int main() {
                "it, while the multi-core's margin evaporates first: the "
                "paper's point about\nwhy processing all radar stresses "
                "architectures.\n";
-  return 0;
+  return report.write() ? 0 : 1;
 }

@@ -137,6 +137,18 @@ std::string outcome_digest(const tasks::Task23Stats& stats) {
   return hex64(fnv1a(buf));
 }
 
+std::string outcome_digest(const tasks::MultiRadarStats& stats) {
+  char buf[192];
+  std::snprintf(buf, sizeof buf, "multi_task1|%llu|%llu|%llu|%llu|%llu|%d",
+                static_cast<unsigned long long>(stats.returns),
+                static_cast<unsigned long long>(stats.matched_aircraft),
+                static_cast<unsigned long long>(stats.redundant_returns),
+                static_cast<unsigned long long>(stats.discarded_returns),
+                static_cast<unsigned long long>(stats.unmatched_returns),
+                stats.passes);
+  return hex64(fnv1a(buf));
+}
+
 void JsonReport::param_raw(const std::string& key, std::string encoded) {
   if (!enabled()) return;
   params_.emplace_back(key, std::move(encoded));

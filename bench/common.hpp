@@ -68,6 +68,7 @@ namespace atm::bench {
 /// a JSON report consumer can cross-check equivalence without rerunning.
 [[nodiscard]] std::string outcome_digest(const tasks::Task1Stats& stats);
 [[nodiscard]] std::string outcome_digest(const tasks::Task23Stats& stats);
+[[nodiscard]] std::string outcome_digest(const tasks::MultiRadarStats& stats);
 
 /// Machine-readable bench report, written as one JSON document when the
 /// bench passes `--json <path>`. Constructed with an empty path the

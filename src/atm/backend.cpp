@@ -94,6 +94,7 @@ auto Backend::traced(std::string_view task, Hook&& hook, DetailOf detail_of) {
 
 Task1Result Backend::run_task1(airfield::RadarFrame& frame,
                                const Task1Params& params) {
+  check_task1_params(params);
   return traced(
       "task1", [&] { return do_run_task1(frame, params); },
       [&](const Task1Result& r) {
@@ -144,6 +145,7 @@ AdvisoryResult Backend::run_advisory(const AdvisoryParams& params) {
 
 MultiRadarResult Backend::run_multi_task1(airfield::MultiRadarFrame& frame,
                                           const Task1Params& params) {
+  check_task1_params(params);
   return traced(
       "multi_task1", [&] { return do_run_multi_task1(frame, params); },
       [](const MultiRadarResult& r) {

@@ -15,6 +15,7 @@ MultiRadarStats correlate_multi(airfield::FlightDb& db,
                                 airfield::MultiRadarFrame& frame,
                                 MultiRadarScratch& scratch,
                                 const Task1Params& params) {
+  check_task1_params(params);
   const std::size_t n = db.size();
   const std::size_t returns = frame.size();
   MultiRadarStats stats;

@@ -40,6 +40,8 @@ void MimdBackend::load(const airfield::FlightDb& db) {
   amatch_.resize(n);
   resolved_.resize(n);
   eligible_.resize(n);
+  best_return_.resize(n);
+  best_d2_.resize(n);
 }
 
 void MimdBackend::begin_correlation(airfield::RadarFrame& frame,
@@ -89,9 +91,9 @@ std::size_t MimdBackend::mark_eligible() {
 
 double MimdBackend::model_work(mimd::WorkCounters work,
                                std::uint64_t reader_ops) {
-  work.locked_ops = reader_ops + locks_.acquisitions();
-  work.contended = locks_.contended();
-  locks_.reset_counters();
+  const mimd::LockCounts locks = locks_.take_counts();
+  work.locked_ops = reader_ops + locks.acquisitions;
+  work.contended = locks.contended;
   last_work_ = work;
   return model_.model_ms(work, jitter_rng_);
 }
@@ -561,7 +563,8 @@ MultiRadarResult MimdBackend::do_run_multi_task1(
   std::atomic<std::uint64_t> inner_ops{0};
   std::atomic<std::uint64_t> box_tests{0};
 
-  std::vector<std::int32_t> nhits(returns, 0), hit_id(returns, kNone);
+  nhits_.resize(returns);
+  hit_id_.resize(returns);
   begin_correlation(frame.base, work);
 
   auto& rmw = frame.base.rmatch_with;
@@ -588,51 +591,46 @@ MultiRadarResult MimdBackend::do_run_multi_task1(
       const std::size_t hit_count = core::kern::box_test_batch(
           kernel, ex_.data(), ey_.data(), n, eligible_.data(), rx[r], ry[r],
           half, hits.data(), /*lanes_masked=*/nullptr);
-      nhits[r] = static_cast<std::int32_t>(hit_count);
-      hit_id[r] = hit_count > 0 ? hits[hit_count - 1] : kNone;
-      if (nhits[r] >= 2) rmw[r] = kDiscarded;
+      nhits_[r] = static_cast<std::int32_t>(hit_count);
+      hit_id_[r] = hit_count > 0 ? hits[hit_count - 1] : kNone;
+      if (nhits_[r] >= 2) rmw[r] = kDiscarded;
       inner_ops.fetch_add(n, std::memory_order_relaxed);
       box_tests.fetch_add(eligible_count, std::memory_order_relaxed);
     });
     ++work.parallel_regions;
 
-    // Phase 2 (aircraft-major): closest candidate.
+    // Phase 2: each eligible aircraft's closest single-hit return, found
+    // in one serial pass over the returns in ascending order; the strict
+    // `<` keeps the lowest index on a tie. The model charges [13]'s
+    // aircraft-major scan, which picks the same winners: `returns` record
+    // reads per eligible aircraft (docs/COST_MODELS.md §4). The winners
+    // commit under their stripe lock.
+    std::fill(best_return_.begin(), best_return_.end(), kNone);
+    for (std::size_t r = 0; r < returns; ++r) {
+      if (rmw[r] != kNone || nhits_[r] != 1) continue;
+      const auto a = static_cast<std::size_t>(hit_id_[r]);
+      const double dx = rx[r] - ex_[a];
+      const double dy = ry[r] - ey_[a];
+      const double d2 = dx * dx + dy * dy;
+      if (best_return_[a] == kNone || d2 < best_d2_[a]) {
+        best_return_[a] = static_cast<std::int32_t>(r);
+        best_d2_[a] = d2;
+      }
+    }
+    inner_ops.fetch_add(eligible_count * returns, std::memory_order_relaxed);
     pool_.parallel_for(0, n, kChunk, [&](std::size_t a) {
-      if (db_.rmatch[a] !=
-          static_cast<std::int8_t>(MatchState::kUnmatched)) {
-        return;
-      }
-      std::int32_t best = kNone;
-      double best_d2 = 0.0;
-      std::uint64_t local_ops = 0;
-      for (std::size_t r = 0; r < returns; ++r) {
-        ++local_ops;
-        if (rmw[r] != kNone || nhits[r] != 1 ||
-            hit_id[r] != static_cast<std::int32_t>(a)) {
-          continue;
-        }
-        const double dx = rx[r] - ex_[a];
-        const double dy = ry[r] - ey_[a];
-        const double d2 = dx * dx + dy * dy;
-        if (best == kNone || d2 < best_d2) {
-          best = static_cast<std::int32_t>(r);
-          best_d2 = d2;
-        }
-      }
-      if (best != kNone) {
-        locks_.with_lock(a, [&] {
-          db_.rmatch[a] = static_cast<std::int8_t>(MatchState::kMatched);
-          amatch_[a] = best;
-        });
-      }
-      inner_ops.fetch_add(local_ops, std::memory_order_relaxed);
+      if (best_return_[a] == kNone) return;
+      locks_.with_lock(a, [&] {
+        db_.rmatch[a] = static_cast<std::int8_t>(MatchState::kMatched);
+        amatch_[a] = best_return_[a];
+      });
     });
     ++work.parallel_regions;
 
     // Phase 3 (return-major): disposition.
     pool_.parallel_for(0, returns, kChunk, [&](std::size_t r) {
-      if (rmw[r] != kNone || nhits[r] != 1) return;
-      const std::int32_t a = hit_id[r];
+      if (rmw[r] != kNone || nhits_[r] != 1) return;
+      const std::int32_t a = hit_id_[r];
       const auto ai = static_cast<std::size_t>(a);
       if (amatch_[ai] == static_cast<std::int32_t>(r)) {
         rmw[r] = a;

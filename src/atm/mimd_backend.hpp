@@ -103,6 +103,10 @@ class MimdBackend final : public Backend {
   core::kern::AlignedVector<double> ex_, ey_;
   std::vector<std::int32_t> nhits_, hit_id_, nradars_, amatch_;
   std::vector<std::uint8_t> resolved_;
+  // Multi-radar Task 1: each aircraft's closest single-hit return so far
+  // in a pass, and its squared distance.
+  std::vector<std::int32_t> best_return_;
+  std::vector<double> best_d2_;
 
   // Broadphase structures (kGrid mode): built serially at the start of a
   // pass/run, then queried read-only by every worker concurrently.

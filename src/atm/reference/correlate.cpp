@@ -32,9 +32,7 @@ Task1Stats correlate_and_track(airfield::FlightDb& db,
   stats.radars = frame.size();
   const core::kern::Kernel kernel = core::kern::resolve(params.kernel);
   stats.kernel = static_cast<int>(kernel);
-  ATM_CHECK_MSG(params.box_half_nm > 0.0 && params.retries >= 0,
-                "degenerate correlation params: box_half_nm="
-                    << params.box_half_nm << " retries=" << params.retries);
+  check_task1_params(params);
 
   scratch.resize(n, frame.size());
   db.reset_correlation_state();

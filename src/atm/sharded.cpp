@@ -41,11 +41,10 @@ Task1Stats correlate_and_track(airfield::FlightDb& db,
   stats.radars = frame.size();
   const core::kern::Kernel kernel = core::kern::resolve(params.kernel);
   stats.kernel = static_cast<int>(kernel);
-  ATM_CHECK_MSG(params.box_half_nm > 0.0 && params.retries >= 0 &&
-                    params.sectors_per_axis >= 1,
-                "degenerate sharded correlation params: box_half_nm="
-                    << params.box_half_nm << " retries=" << params.retries
-                    << " sectors_per_axis=" << params.sectors_per_axis);
+  check_task1_params(params);
+  ATM_CHECK_MSG(params.sectors_per_axis >= 1,
+                "degenerate sharded correlation params: sectors_per_axis="
+                    << params.sectors_per_axis);
 
   const auto sectors =
       static_cast<std::size_t>(params.sectors_per_axis) *

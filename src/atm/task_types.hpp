@@ -4,6 +4,7 @@
 
 #include <cstdint>
 
+#include "src/core/check.hpp"
 #include "src/core/kern/kernels.hpp"
 #include "src/core/spatial/broadphase.hpp"
 #include "src/core/spatial/sectors.hpp"
@@ -70,6 +71,20 @@ struct Task23Params {
   /// Platform backends ignore this field.
   core::kern::KernelMode kernel = core::kern::KernelMode::kAuto;
 };
+
+/// Largest Task1Params::retries: pass k's box is box_half_nm * (1 << k),
+/// and 1 << 30 is the last such factor an int holds.
+inline constexpr int kMaxCorrelationRetries = 30;
+
+/// Task 1's parameter contract, checked on entry to every correlation
+/// path: a positive box (NaN fails) and 0 <= retries <=
+/// kMaxCorrelationRetries. Aborts through ATM_CHECK otherwise.
+inline void check_task1_params(const Task1Params& params) {
+  ATM_CHECK_MSG(params.box_half_nm > 0.0 && params.retries >= 0 &&
+                    params.retries <= kMaxCorrelationRetries,
+                "Task1Params out of range: box_half_nm="
+                    << params.box_half_nm << " retries=" << params.retries);
+}
 
 /// Outcome counters of one Task 1 run.
 struct Task1Stats {

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -68,9 +69,17 @@ class ThreadPool {
   bool stop_ ATM_GUARDED_BY(mutex_) = false;
 };
 
+/// Lock acquisitions and observed contention (try_lock failures) summed
+/// over every stripe; they feed the Xeon contention model.
+struct LockCounts {
+  std::uint64_t acquisitions = 0;
+  std::uint64_t contended = 0;
+};
+
 /// A set of striped mutexes guarding a shared array: index i is protected
-/// by stripe i % stripes. Counts acquisitions and observed contention
-/// (try_lock failures), which feed the Xeon contention model.
+/// by stripe i % stripes. Each stripe counts its own acquisitions and
+/// contention under its own mutex, on its own cache line, so counting adds
+/// no shared write beyond the lock itself.
 ///
 /// Lock-contract note: which *data* stripe i protects is a dynamic,
 /// per-element property (slot i of whatever array the caller shards), so
@@ -84,31 +93,28 @@ class StripedLocks {
   /// Lock the stripe for index i, run fn, unlock. Returns through fn.
   template <typename F>
   void with_lock(std::size_t i, F&& fn) {
-    sync::Mutex& m = mutexes_[i % mutexes_.size()];
-    if (!m.try_lock()) {
-      contended_.fetch_add(1, std::memory_order_relaxed);
-      m.lock();
+    Stripe& s = stripes_[i % stripes_.size()];
+    if (!s.mutex.try_lock()) {
+      s.mutex.lock();
+      ++s.contended;
     }
-    acquisitions_.fetch_add(1, std::memory_order_relaxed);
+    ++s.acquisitions;
     fn();
-    m.unlock();
+    s.mutex.unlock();
   }
 
-  [[nodiscard]] std::uint64_t acquisitions() const {
-    return acquisitions_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t contended() const {
-    return contended_.load(std::memory_order_relaxed);
-  }
-  void reset_counters() {
-    acquisitions_.store(0);
-    contended_.store(0);
-  }
+  /// Sum every stripe's counters and zero them, one stripe lock at a time.
+  /// Exact once the with_lock calls being counted have returned.
+  LockCounts take_counts();
 
  private:
-  std::vector<sync::Mutex> mutexes_;
-  std::atomic<std::uint64_t> acquisitions_{0};
-  std::atomic<std::uint64_t> contended_{0};
+  struct alignas(64) Stripe {
+    sync::Mutex mutex;
+    std::uint64_t acquisitions ATM_GUARDED_BY(mutex) = 0;
+    std::uint64_t contended ATM_GUARDED_BY(mutex) = 0;
+  };
+
+  std::vector<Stripe> stripes_;
 };
 
 }  // namespace atm::mimd

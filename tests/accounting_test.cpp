@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/airfield/setup.hpp"
+#include "src/airfield/towers.hpp"
 #include "src/atm/cuda_backend.hpp"
 #include "src/atm/mimd_backend.hpp"
 #include "src/atm/pipeline.hpp"
@@ -125,6 +126,53 @@ TEST(Accounting, XeonWorkCountersMatchTheoreticalShape) {
   EXPECT_GE(work.inner_ops, 800u * 800u);
   EXPECT_GE(work.locked_ops, work.inner_ops);
   EXPECT_EQ(work.parallel_regions, 2u);
+}
+
+TEST(Accounting, XeonMultiRadarTask1InputsHaveAClosedForm) {
+  // A one-pass frame: phase 1 reads the whole table per return, phase 2
+  // is charged as the [13] aircraft-major scan (every return per eligible
+  // aircraft), each matched aircraft takes one write lock, and the run is
+  // three regions per pass between the expected-position and commit ones.
+  const std::vector<airfield::RadarTower> towers =
+      airfield::make_tower_layout(21);
+  for (const std::uint64_t n : {600u, 1200u}) {
+    MimdBackend xeon;
+    xeon.load(airfield::make_airfield(n, 21));
+    for (std::uint64_t period = 0; period < 2; ++period) {
+      core::Rng rng(30 + period);
+      airfield::MultiRadarFrame frame =
+          airfield::generate_multi_radar(xeon.state(), towers, rng);
+      const MultiRadarResult r = xeon.run_multi_task1(frame, {});
+      ASSERT_EQ(r.stats.passes, 1);
+      const mimd::WorkCounters& work = xeon.last_work();
+      EXPECT_EQ(work.items, n);
+      EXPECT_EQ(work.inner_ops, 2 * n * frame.size());
+      EXPECT_EQ(work.locked_ops, work.inner_ops + r.stats.matched_aircraft);
+      EXPECT_EQ(work.parallel_regions, 5u);
+    }
+  }
+}
+
+TEST(Accounting, XeonMultiRadarTask1RetryFrameIsPinned) {
+  // 1.6 nm of noise leaves returns outside the first box, so all three
+  // passes run over a shrinking set of eligible aircraft and active
+  // returns. The figures are pinned: the Xeon model's multi-radar inputs
+  // must not move when the host execution changes.
+  MimdBackend xeon;
+  xeon.load(airfield::make_airfield(600, 21));
+  core::Rng rng(30);
+  airfield::RadarParams radar;
+  radar.noise_nm = 1.6;
+  airfield::MultiRadarFrame frame = airfield::generate_multi_radar(
+      xeon.state(), airfield::make_tower_layout(21), rng, radar);
+  const MultiRadarResult r = xeon.run_multi_task1(frame, {});
+  EXPECT_EQ(r.stats.passes, 3);
+  EXPECT_EQ(r.stats.matched_aircraft, 600u);
+  const mimd::WorkCounters& work = xeon.last_work();
+  EXPECT_EQ(work.items, 600u);
+  EXPECT_EQ(work.inner_ops, 8310327u);
+  EXPECT_EQ(work.locked_ops, 8310927u);
+  EXPECT_EQ(work.parallel_regions, 11u);
 }
 
 }  // namespace

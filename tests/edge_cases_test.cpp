@@ -9,8 +9,10 @@
 #include <vector>
 
 #include "src/airfield/setup.hpp"
+#include "src/airfield/towers.hpp"
 #include "src/atm/cuda_backend.hpp"
 #include "src/atm/extended/full_pipeline.hpp"
+#include "src/atm/extended/multiradar.hpp"
 #include "src/atm/mimd_backend.hpp"
 #include "src/atm/pipeline.hpp"
 #include "src/atm/platforms.hpp"
@@ -218,6 +220,65 @@ TEST(EdgeCases, NonFiniteRadarReturnsMatchAcrossBroadphaseAndShards) {
             << where;
       }
     }
+  }
+}
+
+TEST(EdgeCasesDeathTest, Task1ParamsOutsideTheContractAbort) {
+  // Pass k's box is box_half_nm * (1 << k): retries >= 32 would shift out
+  // of int (undefined behaviour) and 31 gives a negative box, and a zero
+  // or NaN box never matches anything. The frame would keep every pass
+  // running: one return on the only aircraft and one 100 nm away.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";  // MimdBackend pool
+  airfield::FlightDb fleet(1);
+  fleet.alt[0] = 10000.0;
+  airfield::MultiRadarFrame multi;
+  multi.base.rx = {0.1, 100.0};
+  multi.base.ry = {0.0, 0.0};
+  multi.base.truth = {0, 0};
+  multi.base.rmatch_with = {airfield::kNone, airfield::kNone};
+  multi.tower = {0, 1};
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    double box_half_nm;
+    int retries;
+    const char* context;
+  } bad[] = {{0.5, 31, "box_half_nm=0\\.5 retries=31"},
+             {0.5, 40, "box_half_nm=0\\.5 retries=40"},
+             {0.0, 2, "box_half_nm=0 retries=2"},
+             {nan, 2, "box_half_nm=-?nan retries=2"}};
+  for (const auto& b : bad) {
+    Task1Params params;
+    params.box_half_nm = b.box_half_nm;
+    params.retries = b.retries;
+    const std::string want =
+        std::string("ATM_CHECK failed: .*\n  at .*task_types\\.hpp:[0-9]+\n"
+                    "  context: Task1Params out of range: ") +
+        b.context;
+    SCOPED_TRACE(want);
+    EXPECT_DEATH(
+        {
+          airfield::FlightDb db = fleet;
+          airfield::MultiRadarFrame frame = multi;
+          (void)extended::correlate_multi(db, frame, params);
+        },
+        want);
+    EXPECT_DEATH(
+        {
+          MimdBackend mimd;
+          mimd.load(fleet);
+          airfield::MultiRadarFrame frame = multi;
+          (void)mimd.run_multi_task1(frame, params);
+        },
+        want);
+    EXPECT_DEATH(
+        {
+          ReferenceBackend ref;
+          ref.load(fleet);
+          airfield::RadarFrame frame = multi.base;
+          (void)ref.run_task1(frame, params);
+        },
+        want);
   }
 }
 

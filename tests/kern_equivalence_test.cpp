@@ -33,6 +33,7 @@
 #include "src/atm/scenarios.hpp"
 #include "src/core/kern/kernels.hpp"
 #include "src/core/kern/soa_snapshot.hpp"
+#include "src/core/vec2.hpp"
 
 namespace atm::tasks {
 namespace {
@@ -155,6 +156,78 @@ TEST(MultiRadarKernelEquivalence, MimdMatchesCorrelateMultiBitForBit) {
       EXPECT_GT(got.stats.box_tests, 0u);
       EXPECT_EQ(frame.base.rmatch_with, ref_frame.base.rmatch_with);
       EXPECT_TRUE(mimd.state().same_flight_state(ref)) << "period " << period;
+    }
+  }
+}
+
+TEST(MultiRadarKernelEquivalence, HandBuiltFramesMatchCorrelateMulti) {
+  // Frames the generated fleets never produce, on a parked fleet (the
+  // expected position is the position). Each case first pins the oracle's
+  // dispositions, so it exercises what its name says; then the MIMD path,
+  // under either kernel, must match the oracle bit for bit.
+  using airfield::kDiscarded;
+  using airfield::kNone;
+  using airfield::kRedundant;
+  struct Case {
+    const char* name;
+    std::vector<core::Vec2> aircraft;
+    std::vector<core::Vec2> returns;
+    std::vector<std::int32_t> want;  ///< The oracle's rMatchWith.
+    int passes;
+  };
+  const std::vector<Case> cases = {
+      {"equal distance: the lowest return index wins",
+       {{0.0, 0.0}}, {{0.2, 0.0}, {-0.2, 0.0}}, {0, kRedundant}, 1},
+      {"a later but closer return wins",
+       {{0.0, 0.0}}, {{0.3, 0.0}, {0.1, 0.0}}, {kRedundant, 0}, 1},
+      {"only the doubled box reaches the return",
+       {{0.0, 0.0}, {10.0, 0.0}}, {{0.8, 0.0}, {10.1, 0.0}}, {0, 1}, 2},
+      {"a return covering two aircraft is discarded",
+       {{0.0, 0.0}, {0.4, 0.0}}, {{0.2, 0.0}}, {kDiscarded}, 1},
+      {"every return of two aircraft also covers the other",
+       {{0.0, 0.0}, {0.4, 0.0}, {5.0, 0.0}},
+       {{0.2, 0.0}, {0.1, 0.3}, {5.1, 0.0}},
+       {kDiscarded, kDiscarded, 2},
+       1},
+      {"an empty frame", {{0.0, 0.0}, {3.0, 3.0}}, {}, {}, 0},
+      {"an empty fleet", {}, {{0.0, 0.0}, {1.0, 1.0}}, {kNone, kNone}, 3},
+  };
+  MimdBackend mimd;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    airfield::FlightDb fleet(c.aircraft.size());
+    for (std::size_t a = 0; a < c.aircraft.size(); ++a) {
+      fleet.x[a] = c.aircraft[a].x;
+      fleet.y[a] = c.aircraft[a].y;
+      fleet.alt[a] = 10000.0;
+    }
+    airfield::MultiRadarFrame frame;
+    for (std::size_t r = 0; r < c.returns.size(); ++r) {
+      frame.base.rx.push_back(c.returns[r].x);
+      frame.base.ry.push_back(c.returns[r].y);
+      frame.base.truth.push_back(kNone);
+      frame.tower.push_back(static_cast<std::int32_t>(r));
+    }
+    frame.base.rmatch_with.assign(c.returns.size(), kNone);
+
+    airfield::FlightDb ref = fleet;
+    airfield::MultiRadarFrame ref_frame = frame;
+    const MultiRadarStats expected =
+        extended::correlate_multi(ref, ref_frame, {});
+    ASSERT_EQ(ref_frame.base.rmatch_with, c.want);
+    ASSERT_EQ(expected.passes, c.passes);
+
+    for (const KernelMode mode : {KernelMode::kScalar, KernelMode::kAvx2}) {
+      SCOPED_TRACE(
+          std::string(core::kern::to_string(core::kern::resolve(mode))));
+      Task1Params params;
+      params.kernel = mode;
+      mimd.load(fleet);
+      airfield::MultiRadarFrame got_frame = frame;
+      const MultiRadarResult got = mimd.run_multi_task1(got_frame, params);
+      EXPECT_EQ(got.stats, expected);
+      EXPECT_EQ(got_frame.base.rmatch_with, ref_frame.base.rmatch_with);
+      EXPECT_TRUE(mimd.state().same_flight_state(ref));
     }
   }
 }

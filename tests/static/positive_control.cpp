@@ -31,10 +31,12 @@ class Account {
   }
 
   // The StripedLocks::with_lock shape: contend, fall back to a blocking
-  // lock, and join the two paths with the capability held on both.
+  // lock and count the contention under it, and join the two paths with
+  // the capability held on both.
   void deposit_contended(int amount) {
     if (!mu_.try_lock()) {
       mu_.lock();
+      ++contended_;
     }
     balance_ += amount;
     mu_.unlock();
@@ -48,6 +50,7 @@ class Account {
  private:
   mutable atm::sync::Mutex mu_;
   int balance_ ATM_GUARDED_BY(mu_) = 0;
+  int contended_ ATM_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace

@@ -128,7 +128,7 @@ TEST(TsanStress, StripedLocksProtectPlainCounters) {
   long long sum = 0;
   for (const long long c : counters) sum += c;
   EXPECT_EQ(sum, static_cast<long long>(kRounds) * kItems);
-  EXPECT_EQ(locks.acquisitions(),
+  EXPECT_EQ(locks.take_counts().acquisitions,
             static_cast<std::uint64_t>(kRounds) * kItems);
 }
 
