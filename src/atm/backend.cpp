@@ -41,7 +41,7 @@ void Backend::emit_task_event(std::string_view task, double modeled_ms,
 
 void Backend::emit_sector_counters(
     std::string_view task, const sharded::ShardTelemetry& telemetry) {
-  if (trace_ == nullptr) return;
+  if (trace_ == nullptr || telemetry.sector_owned.empty()) return;
   const std::string owned = std::string(task) + ".sector_owned";
   const std::string candidates = std::string(task) + ".sector_candidates";
   obs::TraceEvent ev;
@@ -106,6 +106,7 @@ Task1Result Backend::run_task1(airfield::RadarFrame& frame,
 }
 
 Task23Result Backend::run_task23(const Task23Params& params) {
+  check_task23_params(params);
   return traced(
       "task23", [&] { return do_run_task23(params); },
       [&](const Task23Result& r) {

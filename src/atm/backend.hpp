@@ -162,9 +162,9 @@ class Backend {
 
   /// Emit the per-sector kCounter events of one sharded run of `task`
   /// ("<task>.sector_owned" then "<task>.sector_candidates", sector by
-  /// sector) when a sink is attached; no-op otherwise. The sharded host
-  /// backends call this after a sharded run so sinks can roll up load
-  /// balance per sector.
+  /// sector) when a sink is attached; no-op otherwise and for unsharded
+  /// runs. The host backends call this after an executor run
+  /// (sharded.hpp) so sinks can roll up load balance per sector.
   void emit_sector_counters(std::string_view task,
                             const sharded::ShardTelemetry& telemetry);
 

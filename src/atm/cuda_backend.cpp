@@ -280,6 +280,7 @@ Task23Result CudaBackend::do_run_task23(const Task23Params& params) {
 }
 
 Task23Result CudaBackend::run_task23_split(const Task23Params& params) {
+  check_task23_params(params);
   const std::size_t n = db_.size();
   Task23Result result;
   counters_.assign(cuda::kCounterSlots, 0);

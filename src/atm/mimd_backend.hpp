@@ -3,17 +3,24 @@
 // Executes the tasks for real on a host thread pool with dynamically
 // scheduled chunks, following the shared-database design of [13]: all
 // aircraft and radar records live in memory shared by every worker, and
-// cross-record updates go through striped mutexes. The modeled 16-core
-// Xeon time comes from mimd::XeonModel fed with the work the execution
-// actually performed:
+// [13] takes a lock on every shared record it reads or writes. The
+// modeled 16-core Xeon time comes from mimd::XeonModel fed with the work
+// the execution actually performed:
 //
 //  * inner_ops  — inner-loop record accesses (each of which the [13]
 //                 implementation performs under a reader lock on the
-//                 shared record; we count those reader locks rather than
-//                 execute 10^8 host mutex operations per task),
-//  * locked_ops — the reader-lock count above plus the *real* write-lock
-//                 acquisitions the execution performed,
+//                 shared record),
+//  * locked_ops — [13]'s lock acquisitions: the reader locks above plus
+//                 its write locks. Task 1, Tasks 2+3 and multi-radar
+//                 Task 1 give every write one owner and take no lock;
+//                 they charge [13]'s locks from their counts
+//                 (sharded::ShardTelemetry, docs/COST_MODELS.md §4). The
+//                 display and sporadic tasks really take striped locks
+//                 and add those acquisitions,
 //  * parallel_regions — fork/join barriers.
+//
+// Task 1 and Tasks 2+3 run on the host pool executor (sharded.hpp) in
+// both shard modes.
 //
 // Scheduling jitter makes run_task* nondeterministic across differently
 // seeded backends — the paper's MIMD "not predictable" property — while a
@@ -22,9 +29,6 @@
 
 #include "src/atm/backend.hpp"
 #include "src/atm/sharded.hpp"
-#include "src/core/kern/soa_snapshot.hpp"
-#include "src/core/spatial/swept_index.hpp"
-#include "src/core/spatial/uniform_grid.hpp"
 #include "src/mimd/thread_pool.hpp"
 #include "src/mimd/xeon_model.hpp"
 
@@ -71,25 +75,13 @@ class MimdBackend final : public Backend {
   void set_jitter_seed(std::uint64_t seed) { jitter_rng_ = core::Rng(seed); }
 
  private:
-  // Task 1 steps both radar modes share, each one parallel region: clear
-  // the correlation state and compute the expected positions ex_/ey_;
-  // commit, where an aircraft that took a return jumps to it and the rest
-  // fly to their expected position (returns the first count).
-  void begin_correlation(airfield::RadarFrame& frame,
-                         mimd::WorkCounters& work);
-  std::uint64_t commit_tracks(const airfield::RadarFrame& frame,
-                              mimd::WorkCounters& work);
-
-  /// Mark the still-unmatched aircraft in eligible_ (a pass's Task 1
-  /// eligibility; rmatch does not change during a coverage scan) and
-  /// return how many there are.
-  std::size_t mark_eligible();
-
-  /// The tail every task's work accounting shares: charge `reader_ops`
-  /// [13]-style reader locks (see the file comment) plus the write locks
-  /// the run really took, reset the stripe counters, keep the counters as
-  /// last_work(), and return their modeled time.
-  double model_work(mimd::WorkCounters work, std::uint64_t reader_ops);
+  /// The tail every task's work accounting shares: charge
+  /// `charged_locks` of [13]'s lock acquisitions (see the file comment)
+  /// plus the stripe locks the run really took, reset the stripe counters,
+  /// keep the counters as last_work(), and return their modeled time.
+  double model_work(mimd::WorkCounters work, std::uint64_t charged_locks);
+  /// The same for one executor run, from its telemetry.
+  double model_work(const sharded::ShardTelemetry& telemetry);
 
   mimd::XeonModel model_;
   mimd::ThreadPool pool_;
@@ -98,29 +90,13 @@ class MimdBackend final : public Backend {
   airfield::FlightDb db_;
   mimd::WorkCounters last_work_;
 
-  // Shared working arrays (the "dynamic database" of [13]); the batch
-  // kernels read ex_/ey_ and the Tasks 2+3 snapshot, so those are aligned.
-  core::kern::AlignedVector<double> ex_, ey_;
-  std::vector<std::int32_t> nhits_, hit_id_, nradars_, amatch_;
-  std::vector<std::uint8_t> resolved_;
   // Multi-radar Task 1: each aircraft's closest single-hit return so far
   // in a pass, and its squared distance.
   std::vector<std::int32_t> best_return_;
   std::vector<double> best_d2_;
 
-  // Broadphase structures (kGrid mode): built serially at the start of a
-  // pass/run, then queried read-only by every worker concurrently.
-  std::vector<std::uint8_t> eligible_;
-  core::spatial::UniformGrid2D grid_;
-  core::spatial::SweptIndex swept_;
-
-  // Tasks 2+3 snapshot: gathered serially once per run, then scanned
-  // read-only by every worker through the batch kernels.
-  core::kern::SoaSnapshot snap_;
-
-  // Sector-sharded executive (ShardMode::kSectors): per-sector snapshot
-  // buffers, reused across periods. The gather copies replace the [13]
-  // reader locks in the cost model — see do_run_task1/do_run_task23.
+  // The executor's buffers (snapshots, indexes and the flat Task 1
+  // arrays multi-radar Task 1 shares), reused across periods.
   sharded::ShardScratch shard_scratch_;
 };
 

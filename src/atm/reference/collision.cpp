@@ -168,6 +168,7 @@ Task23Stats detect_and_resolve(airfield::FlightDb& db,
   stats.aircraft = n;
   const core::kern::Kernel kernel = core::kern::resolve(params.kernel);
   stats.kernel = static_cast<int>(kernel);
+  check_task23_params(params);
 
   db.reset_collision_state();
   std::vector<std::uint8_t> resolved_flag(n, 0);

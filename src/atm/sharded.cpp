@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <numeric>
 
 #include "src/atm/reference/collision.hpp"
 #include "src/core/check.hpp"
@@ -17,19 +18,218 @@ using airfield::MatchState;
 
 namespace {
 
-/// Items per dynamically claimed chunk for the flat (non-sector) phases.
+/// Items per dynamically claimed chunk for the flat phases, and radars per
+/// unsharded Task 1 coverage task.
 constexpr std::size_t kChunk = 64;
+/// Aircraft per unsharded Tasks 2+3 task: each one scans the whole table,
+/// so small tasks keep the workers balanced.
+constexpr std::size_t kAircraftChunk = 8;
 
-void reset_telemetry(ShardTelemetry& t, std::size_t sectors) {
+constexpr auto kUnmatched = static_cast<std::int8_t>(MatchState::kUnmatched);
+constexpr auto kMatched = static_cast<std::int8_t>(MatchState::kMatched);
+
+/// Check a sharded run's params and reset `t` for it; returns the sector
+/// count (0 = unsharded).
+std::size_t begin_telemetry(ShardTelemetry& t, core::spatial::ShardMode shard,
+                            int sectors_per_axis) {
+  std::size_t sectors = 0;
+  if (shard == core::spatial::ShardMode::kSectors) {
+    ATM_CHECK_MSG(sectors_per_axis >= 1,
+                  "degenerate shard params: sectors_per_axis="
+                      << sectors_per_axis);
+    sectors = static_cast<std::size_t>(sectors_per_axis) *
+              static_cast<std::size_t>(sectors_per_axis);
+  }
   t.sectors = static_cast<int>(sectors);
-  t.gather_ops = 0;
+  t.locked_ops = 0;
   t.inner_ops = 0;
   t.parallel_regions = 0;
   t.sector_owned.assign(sectors, 0);
   t.sector_candidates.assign(sectors, 0);
+  return sectors;
+}
+
+/// Records the sector tasks gathered into their snapshots.
+std::uint64_t gathered(const ShardTelemetry& t) {
+  return std::accumulate(t.sector_candidates.begin(),
+                         t.sector_candidates.end(), std::uint64_t{0});
+}
+
+/// The expected positions one Task 1 coverage task scans: `n` slots of
+/// (ex, ey) with their aircraft ids (`id` null: the slot is the id), the
+/// slots to test (`eligible` null: every slot; `tests` is their count)
+/// and, under kGrid, the grid binning the tested slots.
+struct CoverRegion {
+  const double* ex = nullptr;
+  const double* ey = nullptr;
+  std::size_t n = 0;
+  const std::int32_t* id = nullptr;
+  const std::uint8_t* eligible = nullptr;
+  std::size_t tests = 0;
+  const core::spatial::UniformGrid2D* grid = nullptr;
+};
+
+/// One coverage task's work, summed after the join. Each task's slot is
+/// its own cache line: neighbouring tasks bump theirs concurrently.
+struct alignas(64) CoverTally {
+  std::uint64_t reads = 0;  ///< Slots swept (brute) or enumerated (grid).
+  std::uint64_t tests = 0;  ///< Box tests.
+  std::uint64_t lanes = 0;  ///< SIMD tail lanes masked off.
+  std::uint64_t hits = 0;   ///< Coverage adds.
+};
+
+/// Box-test active radar r against `region`: radar r's nhits/hit_id (its
+/// own slots) and a relaxed add to each covered aircraft's coverage count
+/// (adds commute, so the result is order-independent). `cand` and `hits`
+/// are the task's buffers; `hits` holds region.n entries.
+void cover_radar(const CoverRegion& region, const airfield::RadarFrame& frame,
+                 std::size_t r, double half, core::kern::Kernel kernel,
+                 reference::Task1Scratch& t1, std::vector<std::int32_t>& cand,
+                 std::vector<std::int32_t>& hits, CoverTally& tally) {
+  const double rx = frame.rx[r];
+  const double ry = frame.ry[r];
+  std::size_t hit_count = 0;
+  if (region.grid != nullptr) {
+    cand.clear();
+    region.grid->for_each_in_box(
+        rx - half, rx + half, ry - half, ry + half,
+        [&](std::size_t k) { cand.push_back(static_cast<std::int32_t>(k)); });
+    tally.reads += cand.size();
+    tally.tests += cand.size();
+    hit_count = core::kern::box_test_batch_indexed(
+        kernel, region.ex, region.ey, cand.data(), cand.size(), rx, ry, half,
+        hits.data(), &tally.lanes);
+  } else {
+    // Brute force sweeps the whole region, but only the eligible slots
+    // are box tests (the kernel masks the rest off at emission).
+    tally.reads += region.n;
+    tally.tests += region.tests;
+    hit_count = core::kern::box_test_batch(kernel, region.ex, region.ey,
+                                           region.n, region.eligible, rx, ry,
+                                           half, hits.data(), &tally.lanes);
+  }
+  // hit_id is only read when the radar has exactly one hit, so keeping the
+  // last one is enough.
+  tally.hits += hit_count;
+  t1.nhits[r] = static_cast<std::int32_t>(hit_count);
+  t1.hit_id[r] = kNone;
+  for (std::size_t h = 0; h < hit_count; ++h) {
+    const std::int32_t a = region.id != nullptr ? region.id[hits[h]] : hits[h];
+    t1.hit_id[r] = a;
+    std::atomic_ref<std::int32_t>(t1.nradars[static_cast<std::size_t>(a)])
+        .fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+/// A Tasks 2+3 scan region: a snapshot view, its slot -> aircraft id map
+/// (null: the slot is the id) and, under kGrid, the swept index whose
+/// bucket order the snapshot was gathered in.
+struct ScanRegion {
+  core::kern::SoaView view;
+  const std::int32_t* ids;
+  const core::spatial::SweptIndex* index;
+};
+
+/// One Tasks 2+3 task's counts, summed after the join; one cache line per
+/// task, as CoverTally.
+struct alignas(64) ResolveTally {
+  std::uint64_t conflicts = 0, critical = 0, resolved = 0, unresolved = 0;
+  std::uint64_t rescans = 0;
+  std::uint64_t reads = 0;  ///< Region slots the scans swept.
+  reference::ScanWork work;
+};
+
+/// Tasks 2+3 for aircraft `id` against `region`: detection on its current
+/// path, then, when the soonest conflict is critical, the trial rotations
+/// against everyone's original path until one clears. Writes aircraft
+/// id's own record and resolved flag only.
+void detect_and_resolve_one(airfield::FlightDb& db,
+                            std::vector<std::uint8_t>& resolved,
+                            std::int32_t id, const ScanRegion& region,
+                            const Task23Params& params,
+                            core::kern::Kernel kernel,
+                            reference::ScanScratch& scan, ResolveTally& t) {
+  const auto i = static_cast<std::size_t>(id);
+  const auto detect = [&](double vx, double vy, bool stop_at_critical) {
+    t.reads += region.view.n;
+    return reference::scan_candidates(region.view, region.ids, id, db.x[i],
+                                      db.y[i], db.alt[i], vx, vy, params,
+                                      kernel, t.work, stop_at_critical,
+                                      region.index, scan);
+  };
+  const reference::DetectOutcome det =
+      detect(db.dx[i], db.dy[i], /*stop_at_critical=*/false);
+  if (det.conflict) {
+    ++t.conflicts;
+    db.col[i] = 1;
+    db.col_with[i] = det.partner;
+    if (det.time_min < db.time_till[i]) db.time_till[i] = det.time_min;
+  }
+  if (!det.critical) return;
+  ++t.critical;
+  const core::Vec2 vel{db.dx[i], db.dy[i]};
+  const int attempts = reference::max_trial_attempts(params);
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    const core::Vec2 trial = core::rotate_deg(
+        vel, reference::trial_angle_deg(attempt, params.turn_step_deg));
+    ++t.rescans;
+    if (!detect(trial.x, trial.y, /*stop_at_critical=*/true).critical) {
+      db.batx[i] = trial.x;
+      db.baty[i] = trial.y;
+      resolved[i] = 1;
+      ++t.resolved;
+      return;
+    }
+  }
+  ++t.unresolved;
 }
 
 }  // namespace
+
+void begin_correlation(airfield::FlightDb& db, airfield::RadarFrame& frame,
+                       mimd::ThreadPool& pool, reference::Task1Scratch& t1) {
+  t1.resize(db.size(), frame.size());
+  db.reset_correlation_state();
+  frame.reset_matches();
+  std::fill(t1.amatch.begin(), t1.amatch.end(), kNone);
+  pool.parallel_for(0, db.size(), kChunk, [&](std::size_t i) {
+    t1.ex[i] = db.x[i] + db.dx[i];
+    t1.ey[i] = db.y[i] + db.dy[i];
+  });
+}
+
+std::size_t mark_eligible(const airfield::FlightDb& db,
+                          reference::Task1Scratch& t1) {
+  std::size_t count = 0;
+  for (std::size_t a = 0; a < db.size(); ++a) {
+    const bool e = db.rmatch[a] == kUnmatched;
+    t1.eligible[a] = e ? 1 : 0;
+    count += e ? 1u : 0u;
+  }
+  return count;
+}
+
+std::uint64_t commit_tracks(airfield::FlightDb& db,
+                            const airfield::RadarFrame& frame,
+                            mimd::ThreadPool& pool,
+                            const reference::Task1Scratch& t1) {
+  const auto took_return = [&](std::size_t a) {
+    return db.rmatch[a] == kMatched && t1.amatch[a] >= 0;
+  };
+  pool.parallel_for(0, db.size(), kChunk, [&](std::size_t a) {
+    if (took_return(a)) {
+      const auto r = static_cast<std::size_t>(t1.amatch[a]);
+      db.x[a] = frame.rx[r];
+      db.y[a] = frame.ry[r];
+    } else {
+      db.x[a] = t1.ex[a];
+      db.y[a] = t1.ey[a];
+    }
+  });
+  std::uint64_t matched = 0;
+  for (std::size_t a = 0; a < db.size(); ++a) matched += took_return(a);
+  return matched;
+}
 
 Task1Stats correlate_and_track(airfield::FlightDb& db,
                                airfield::RadarFrame& frame,
@@ -42,38 +242,21 @@ Task1Stats correlate_and_track(airfield::FlightDb& db,
   const core::kern::Kernel kernel = core::kern::resolve(params.kernel);
   stats.kernel = static_cast<int>(kernel);
   check_task1_params(params);
-  ATM_CHECK_MSG(params.sectors_per_axis >= 1,
-                "degenerate sharded correlation params: sectors_per_axis="
-                    << params.sectors_per_axis);
-
-  const auto sectors =
-      static_cast<std::size_t>(params.sectors_per_axis) *
-      static_cast<std::size_t>(params.sectors_per_axis);
-  stats.sectors = static_cast<int>(sectors);
   ShardTelemetry local_telemetry;
   ShardTelemetry& tele = telemetry != nullptr ? *telemetry : local_telemetry;
-  reset_telemetry(tele, sectors);
-  scratch.sectors.resize(sectors);
-  scratch.task1.resize(n, frame.size());
+  const std::size_t sectors =
+      begin_telemetry(tele, params.shard, params.sectors_per_axis);
+  stats.sectors = static_cast<int>(sectors);
   reference::Task1Scratch& t1 = scratch.task1;
 
-  db.reset_correlation_state();
-  frame.reset_matches();
-  std::fill(t1.amatch.begin(), t1.amatch.end(), kNone);
-
-  // Expected positions (parallel region).
-  pool.parallel_for(0, n, kChunk, [&](std::size_t i) {
-    t1.ex[i] = db.x[i] + db.dx[i];
-    t1.ey[i] = db.y[i] + db.dy[i];
-  });
+  begin_correlation(db, frame, pool, t1);
   ++tele.parallel_regions;
 
-  // Per-sector work and box-test counts, filled by the sector tasks and
-  // summed after the join (deterministic, no shared accumulators).
-  std::vector<std::uint64_t> sector_tests(sectors, 0);
-  std::vector<std::uint64_t> sector_inner(sectors, 0);
-  std::vector<std::uint64_t> sector_lanes(sectors, 0);
-
+  // One coverage task per sector, or per kChunk radars unsharded; each
+  // keeps its tally slot across passes.
+  std::vector<CoverTally> tally(sectors > 0 ? sectors
+                                            : (frame.size() + kChunk - 1) /
+                                                  kChunk);
   const bool use_grid =
       params.broadphase == core::spatial::BroadphaseMode::kGrid;
   const int total_passes = 1 + params.retries;
@@ -91,127 +274,112 @@ Task1Stats correlate_and_track(airfield::FlightDb& db,
                                                           << prev_half);
     prev_half = half;
 
-    std::fill(t1.nhits.begin(), t1.nhits.end(), 0);
-    std::fill(t1.hit_id.begin(), t1.hit_id.end(), kNone);
     std::fill(t1.nradars.begin(), t1.nradars.end(), 0);
-    for (std::size_t a = 0; a < n; ++a) {
-      t1.eligible[a] =
-          db.rmatch[a] == static_cast<std::int8_t>(MatchState::kUnmatched)
-              ? 1
-              : 0;
-    }
+    const std::size_t eligible_count = mark_eligible(db, t1);
 
-    // Partition the eligible expected positions; a radar's box only
-    // reaches `half` per axis, so that is the halo reach. Rebuilt per
-    // pass: the box doubles and the eligible set shrinks.
-    scratch.partition.build(t1.ex, t1.ey, t1.eligible, /*halo_reach_nm=*/half,
-                            params.sectors_per_axis);
-    stats.halo_candidates += scratch.partition.halo_total();
+    if (sectors == 0) {
+      // The whole table: every active radar against the shared expected
+      // positions, all of them eligibility-masked, or the grid cells its
+      // box overlaps. The buffers are per thread (the pool has no worker
+      // ids; thread_local buffers persist across tasks and runs).
+      if (use_grid) {
+        t1.grid.build(t1.ex, t1.ey, t1.eligible, /*cell_hint_nm=*/2.0 * half);
+      }
+      const CoverRegion region{.ex = t1.ex.data(),
+                               .ey = t1.ey.data(),
+                               .n = n,
+                               .eligible = t1.eligible.data(),
+                               .tests = eligible_count,
+                               .grid = use_grid ? &t1.grid : nullptr};
+      pool.parallel_for(0, tally.size(), 1, [&](std::size_t task) {
+        thread_local std::vector<std::int32_t> cand;
+        thread_local std::vector<std::int32_t> hits;
+        hits.resize(n);
+        const std::size_t end = std::min(frame.size(), (task + 1) * kChunk);
+        for (std::size_t r = task * kChunk; r < end; ++r) {
+          if (frame.rmatch_with[r] != kNone) continue;
+          cover_radar(region, frame, r, half, kernel, t1, cand, hits,
+                      tally[task]);
+        }
+      });
+    } else {
+      // Partition the eligible expected positions; a radar's box only
+      // reaches `half` per axis, so that is the halo reach. Rebuilt per
+      // pass: the box doubles and the eligible set shrinks.
+      scratch.sectors.resize(sectors);
+      scratch.partition.build(t1.ex, t1.ey, t1.eligible,
+                              /*halo_reach_nm=*/half,
+                              params.sectors_per_axis);
+      stats.halo_candidates += scratch.partition.halo_total();
 
-    // Assign the still-active radars to sectors by position (CSR build).
-    scratch.radar_start.assign(sectors + 1, 0);
-    for (std::size_t r = 0; r < frame.size(); ++r) {
-      if (frame.rmatch_with[r] != kNone) continue;
-      const int s = scratch.partition.sector_of(frame.rx[r], frame.ry[r]);
-      ++scratch.radar_start[static_cast<std::size_t>(s) + 1];
-    }
-    for (std::size_t s = 0; s < sectors; ++s) {
-      scratch.radar_start[s + 1] += scratch.radar_start[s];
-    }
-    scratch.radar_ids.resize(
-        static_cast<std::size_t>(scratch.radar_start[sectors]));
-    {
-      std::vector<std::int32_t> cursor(scratch.radar_start.begin(),
-                                       scratch.radar_start.end() - 1);
+      // Assign the still-active radars to sectors by position (CSR).
+      scratch.radar_start.assign(sectors + 1, 0);
       for (std::size_t r = 0; r < frame.size(); ++r) {
         if (frame.rmatch_with[r] != kNone) continue;
-        const auto s = static_cast<std::size_t>(
-            scratch.partition.sector_of(frame.rx[r], frame.ry[r]));
-        scratch.radar_ids[static_cast<std::size_t>(cursor[s]++)] =
-            static_cast<std::int32_t>(r);
+        const int s = scratch.partition.sector_of(frame.rx[r], frame.ry[r]);
+        ++scratch.radar_start[static_cast<std::size_t>(s) + 1];
       }
-    }
-
-    // One task per sector: gather the candidate snapshot, then scan the
-    // sector's radars against it. nhits/hit_id are per-radar (each radar
-    // owned by one sector task); the shared per-aircraft coverage count
-    // uses commutative relaxed adds, so the result is order-independent.
-    pool.parallel_for(0, sectors, 1, [&](std::size_t s) {
-      const std::span<const std::int32_t> radars{
-          scratch.radar_ids.data() + scratch.radar_start[s],
-          static_cast<std::size_t>(scratch.radar_start[s + 1] -
-                                   scratch.radar_start[s])};
-      const std::span<const std::int32_t> cand =
-          scratch.partition.candidates(s);
-      tele.sector_owned[s] += radars.size();
-      if (radars.empty()) return;
-      tele.sector_candidates[s] += cand.size();
-
-      ShardScratch::SectorBuffers& buf = scratch.sectors[s];
-      buf.ex.resize(cand.size());
-      buf.ey.resize(cand.size());
-      buf.id.assign(cand.begin(), cand.end());
-      for (std::size_t k = 0; k < cand.size(); ++k) {
-        const auto a = static_cast<std::size_t>(cand[k]);
-        buf.ex[k] = t1.ex[a];
-        buf.ey[k] = t1.ey[a];
+      for (std::size_t s = 0; s < sectors; ++s) {
+        scratch.radar_start[s + 1] += scratch.radar_start[s];
       }
-      if (use_grid) {
-        buf.grid.build(buf.ex, buf.ey, {}, /*cell_hint_nm=*/2.0 * half);
+      scratch.radar_ids.resize(
+          static_cast<std::size_t>(scratch.radar_start[sectors]));
+      {
+        std::vector<std::int32_t> cursor(scratch.radar_start.begin(),
+                                         scratch.radar_start.end() - 1);
+        for (std::size_t r = 0; r < frame.size(); ++r) {
+          if (frame.rmatch_with[r] != kNone) continue;
+          const auto s = static_cast<std::size_t>(
+              scratch.partition.sector_of(frame.rx[r], frame.ry[r]));
+          scratch.radar_ids[static_cast<std::size_t>(cursor[s]++)] =
+              static_cast<std::int32_t>(r);
+        }
       }
 
-      std::uint64_t local_tests = 0;
-      std::uint64_t local_ops = 0;
-      std::uint64_t local_lanes = 0;
-      buf.hits.resize(cand.size());
-      for (const std::int32_t radar : radars) {
-        const auto r = static_cast<std::size_t>(radar);
-        // The partition was built over eligible aircraft only, so every
-        // snapshot slot is a test candidate (eligible = nullptr). Hit
-        // slots come back in enumeration order; the coverage adds stay
-        // relaxed-atomic (commutative) exactly as before.
-        std::size_t hit_count = 0;
+      // One task per sector: gather the candidate snapshot, then scan the
+      // sector's radars against it. The partition was built over eligible
+      // aircraft only, so every snapshot slot is a test.
+      pool.parallel_for(0, sectors, 1, [&](std::size_t s) {
+        const std::span<const std::int32_t> radars{
+            scratch.radar_ids.data() + scratch.radar_start[s],
+            static_cast<std::size_t>(scratch.radar_start[s + 1] -
+                                     scratch.radar_start[s])};
+        const std::span<const std::int32_t> cand =
+            scratch.partition.candidates(s);
+        tele.sector_owned[s] += radars.size();
+        if (radars.empty()) return;
+        tele.sector_candidates[s] += cand.size();
+
+        ShardScratch::SectorBuffers& buf = scratch.sectors[s];
+        buf.ex.resize(cand.size());
+        buf.ey.resize(cand.size());
+        buf.id.assign(cand.begin(), cand.end());
+        for (std::size_t k = 0; k < cand.size(); ++k) {
+          const auto a = static_cast<std::size_t>(cand[k]);
+          buf.ex[k] = t1.ex[a];
+          buf.ey[k] = t1.ey[a];
+        }
         if (use_grid) {
-          buf.cand.clear();
-          buf.grid.for_each_in_box(
-              frame.rx[r] - half, frame.rx[r] + half, frame.ry[r] - half,
-              frame.ry[r] + half, [&](std::size_t k) {
-                buf.cand.push_back(static_cast<std::int32_t>(k));
-              });
-          local_ops += buf.cand.size();
-          local_tests += buf.cand.size();
-          hit_count = core::kern::box_test_batch_indexed(
-              kernel, buf.ex.data(), buf.ey.data(), buf.cand.data(),
-              buf.cand.size(), frame.rx[r], frame.ry[r], half,
-              buf.hits.data(), &local_lanes);
-        } else {
-          local_ops += cand.size();
-          local_tests += cand.size();
-          hit_count = core::kern::box_test_batch(
-              kernel, buf.ex.data(), buf.ey.data(), cand.size(),
-              /*eligible=*/nullptr, frame.rx[r], frame.ry[r], half,
-              buf.hits.data(), &local_lanes);
+          buf.grid.build(buf.ex, buf.ey, {}, /*cell_hint_nm=*/2.0 * half);
         }
-        for (std::size_t h = 0; h < hit_count; ++h) {
-          const auto k = static_cast<std::size_t>(buf.hits[h]);
-          ++t1.nhits[r];
-          t1.hit_id[r] = buf.id[k];
-          std::atomic_ref<std::int32_t> coverage(
-              t1.nradars[static_cast<std::size_t>(buf.id[k])]);
-          coverage.fetch_add(1, std::memory_order_relaxed);
+        buf.hits.resize(cand.size());
+        const CoverRegion region{.ex = buf.ex.data(),
+                                 .ey = buf.ey.data(),
+                                 .n = cand.size(),
+                                 .id = buf.id.data(),
+                                 .tests = cand.size(),
+                                 .grid = use_grid ? &buf.grid : nullptr};
+        for (const std::int32_t radar : radars) {
+          cover_radar(region, frame, static_cast<std::size_t>(radar), half,
+                      kernel, t1, buf.cand, buf.hits, tally[s]);
         }
-      }
-      sector_tests[s] += local_tests;
-      sector_inner[s] += local_ops;
-      sector_lanes[s] += local_lanes;
-    });
+      });
+    }
     ++tele.parallel_regions;
 
     // Ambiguity (the pool join above made every coverage add visible).
     pool.parallel_for(0, n, kChunk, [&](std::size_t a) {
-      if (db.rmatch[a] ==
-              static_cast<std::int8_t>(MatchState::kUnmatched) &&
-          t1.nradars[a] >= 2) {
+      if (db.rmatch[a] == kUnmatched && t1.nradars[a] >= 2) {
         db.rmatch[a] = static_cast<std::int8_t>(MatchState::kAmbiguous);
       }
     });
@@ -231,7 +399,7 @@ Task1Stats correlate_and_track(airfield::FlightDb& db,
         frame.rmatch_with[r] = a;
         const auto ai = static_cast<std::size_t>(a);
         if (t1.nradars[ai] == 1) {
-          db.rmatch[ai] = static_cast<std::int8_t>(MatchState::kMatched);
+          db.rmatch[ai] = kMatched;
           t1.amatch[ai] = static_cast<std::int32_t>(r);
         }
       }
@@ -239,18 +407,8 @@ Task1Stats correlate_and_track(airfield::FlightDb& db,
     ++tele.parallel_regions;
   }
 
-  // Commit.
-  pool.parallel_for(0, n, kChunk, [&](std::size_t a) {
-    if (db.rmatch[a] == static_cast<std::int8_t>(MatchState::kMatched) &&
-        t1.amatch[a] >= 0) {
-      const auto r = static_cast<std::size_t>(t1.amatch[a]);
-      db.x[a] = frame.rx[r];
-      db.y[a] = frame.ry[r];
-    } else {
-      db.x[a] = t1.ex[a];
-      db.y[a] = t1.ey[a];
-    }
-  });
+  stats.matched = commit_tracks(db, frame, pool, t1);
+  stats.updated_aircraft = stats.matched;
   ++tele.parallel_regions;
 
   // Outcome stats.
@@ -258,23 +416,22 @@ Task1Stats correlate_and_track(airfield::FlightDb& db,
     if (m == kNone) ++stats.unmatched_radars;
     if (m == kDiscarded) ++stats.discarded_radars;
   }
-  for (std::size_t a = 0; a < n; ++a) {
-    if (db.rmatch[a] == static_cast<std::int8_t>(MatchState::kAmbiguous)) {
-      ++stats.ambiguous_aircraft;
-    }
-    if (db.rmatch[a] == static_cast<std::int8_t>(MatchState::kMatched) &&
-        t1.amatch[a] >= 0) {
-      ++stats.matched;
-      ++stats.updated_aircraft;
-    }
-  }
+  stats.ambiguous_aircraft = static_cast<std::uint64_t>(
+      std::count(db.rmatch.begin(), db.rmatch.end(),
+                 static_cast<std::int8_t>(MatchState::kAmbiguous)));
 
-  for (std::size_t s = 0; s < sectors; ++s) {
-    stats.box_tests += sector_tests[s];
-    stats.lanes_masked += sector_lanes[s];
-    tele.inner_ops += sector_inner[s];
-    tele.gather_ops += tele.sector_candidates[s];
+  std::uint64_t hits = 0;
+  for (const CoverTally& t : tally) {
+    stats.box_tests += t.tests;
+    stats.lanes_masked += t.lanes;
+    tele.inner_ops += t.reads;
+    hits += t.hits;
   }
+  // [13]'s lock charge: sharded, one per gathered record; unsharded, a
+  // reader lock per record read plus a write lock per coverage add and
+  // per correlation.
+  tele.locked_ops = sectors > 0 ? gathered(tele)
+                                : tele.inner_ops + hits + stats.matched;
   return stats;
 }
 
@@ -287,133 +444,95 @@ Task23Stats detect_and_resolve(airfield::FlightDb& db,
   stats.aircraft = n;
   const core::kern::Kernel kernel = core::kern::resolve(params.kernel);
   stats.kernel = static_cast<int>(kernel);
-  ATM_CHECK_MSG(params.sectors_per_axis >= 1,
-                "degenerate shard params: sectors_per_axis="
-                    << params.sectors_per_axis);
-
-  const auto sectors =
-      static_cast<std::size_t>(params.sectors_per_axis) *
-      static_cast<std::size_t>(params.sectors_per_axis);
-  stats.sectors = static_cast<int>(sectors);
+  check_task23_params(params);
   ShardTelemetry local_telemetry;
   ShardTelemetry& tele = telemetry != nullptr ? *telemetry : local_telemetry;
-  reset_telemetry(tele, sectors);
-  scratch.sectors.resize(sectors);
+  const std::size_t sectors =
+      begin_telemetry(tele, params.shard, params.sectors_per_axis);
+  stats.sectors = static_cast<int>(sectors);
   scratch.resolved.assign(n, 0);
 
   db.reset_collision_state();
 
-  // Halo reach: a pair conflicting inside the horizon is currently at
-  // most band + (|v_i| + |v_j|) * horizon apart per axis, and a Task-3
-  // trial rotation preserves |v_i|. At paper horizons this saturates the
-  // field — the candidate sets then carry everyone and the win is the
-  // per-sector parallel execution, not pruning (see sharded.hpp).
-  double max_speed = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double s2 = db.dx[i] * db.dx[i] + db.dy[i] * db.dy[i];
-    max_speed = std::max(max_speed, s2);
-  }
-  max_speed = std::sqrt(max_speed);
-  const double reach =
-      params.band_nm + 2.0 * max_speed * params.horizon_periods;
-  scratch.partition.build(db.x, db.y, {}, reach, params.sectors_per_axis);
-  stats.halo_candidates = scratch.partition.halo_total();
-
+  // One task per sector, or per kAircraftChunk aircraft unsharded. Every
+  // db write targets the task's own aircraft; the snapshot fields
+  // (x/y/dx/dy/alt) are never written before the commit phase below, so
+  // the concurrent sector gathers race with nothing.
+  std::vector<ResolveTally> tally(
+      sectors > 0 ? sectors : (n + kAircraftChunk - 1) / kAircraftChunk);
   const bool use_index =
       params.broadphase == core::spatial::BroadphaseMode::kGrid;
-  const int attempts = reference::max_trial_attempts(params);
-
-  // Per-sector outcome/work slots, summed deterministically after the
-  // join.
-  struct SectorTally {
-    std::uint64_t conflicts = 0, critical = 0, resolved = 0, unresolved = 0;
-    std::uint64_t rescans = 0, inner_ops = 0;
-    reference::ScanWork work;
-  };
-  std::vector<SectorTally> tally(sectors);
-
-  // One task per sector: gather the snapshot (positions, velocities,
-  // altitudes of owned + halo), optionally build the sector's swept
-  // index and re-gather the snapshot in its bucket order, then run
-  // detection and the trial rotations for every owned aircraft against
-  // the snapshot. All db writes target owned aircraft — the owner
-  // partition is disjoint, so every write has one writer; the snapshot
-  // fields (x/y/dx/dy/alt) are never written before the commit phase
-  // below, so concurrent gathers race with nothing.
-  pool.parallel_for(0, sectors, 1, [&](std::size_t s) {
-    const std::span<const std::int32_t> owned = scratch.partition.owned(s);
-    const std::span<const std::int32_t> cand =
-        scratch.partition.candidates(s);
-    tele.sector_owned[s] = owned.size();
-    if (owned.empty()) return;
-    tele.sector_candidates[s] = cand.size();
-
-    ShardScratch::SectorBuffers& buf = scratch.sectors[s];
-    buf.snap.gather(db, cand);
-    buf.id.assign(cand.begin(), cand.end());
-    const core::spatial::SweptIndex* index = nullptr;
+  if (sectors == 0) {
+    // One serially gathered snapshot of every aircraft (in the swept
+    // index's bucket order under kGrid), scanned read-only by every task.
+    ScanRegion region{{}, nullptr, nullptr};
     if (use_index) {
-      buf.swept.build(buf.snap.x, buf.snap.y, buf.snap.dx, buf.snap.dy,
-                      buf.snap.alt, reference::swept_index_params(params));
-      const std::span<const std::int32_t> order = buf.swept.order();
-      for (std::size_t k = 0; k < order.size(); ++k) {
-        buf.id[k] = cand[static_cast<std::size_t>(order[k])];
-      }
-      buf.snap.gather(db, buf.id);
-      index = &buf.swept;
+      reference::build_swept_index(db, params, scratch.swept);
+      scratch.snap.gather(db, scratch.swept.order());
+      region.ids = scratch.swept.order().data();
+      region.index = &scratch.swept;
+    } else {
+      scratch.snap.gather(db);
     }
+    region.view = scratch.snap.view();
+    pool.parallel_for(0, tally.size(), 1, [&](std::size_t task) {
+      thread_local reference::ScanScratch scan;
+      const std::size_t end = std::min(n, (task + 1) * kAircraftChunk);
+      for (std::size_t i = task * kAircraftChunk; i < end; ++i) {
+        detect_and_resolve_one(db, scratch.resolved,
+                               static_cast<std::int32_t>(i), region, params,
+                               kernel, scan, tally[task]);
+      }
+    });
+  } else {
+    // Halo reach: a pair conflicting inside the horizon is currently at
+    // most band + (|v_i| + |v_j|) * horizon apart per axis, and a Task-3
+    // trial rotation preserves |v_i| (see sharded.hpp).
+    double max_speed = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double s2 = db.dx[i] * db.dx[i] + db.dy[i] * db.dy[i];
+      max_speed = std::max(max_speed, s2);
+    }
+    max_speed = std::sqrt(max_speed);
+    const double reach =
+        params.band_nm + 2.0 * max_speed * params.horizon_periods;
+    scratch.partition.build(db.x, db.y, {}, reach, params.sectors_per_axis);
+    stats.halo_candidates = scratch.partition.halo_total();
+    scratch.sectors.resize(sectors);
 
-    // Detection through the shared scan: the sector's snapshot view with
-    // buf.id as the slot -> aircraft map, so self-exclusion, the
-    // (time_min, id) tie-break, and the reported partner all use global
-    // ids — identical to the monolithic scan over a candidate superset.
-    const core::kern::SoaView view = buf.snap.view();
-    SectorTally& t = tally[s];
-    for (const std::int32_t id : owned) {
-      const auto i = static_cast<std::size_t>(id);
-      std::uint64_t scans = 1;
-      const reference::DetectOutcome det = reference::scan_candidates(
-          view, buf.id.data(), id, db.x[i], db.y[i], db.alt[i], db.dx[i],
-          db.dy[i], params, kernel, t.work, /*stop_at_critical=*/false,
-          index, buf.scan);
-      if (det.conflict) {
-        ++t.conflicts;
-        db.col[i] = 1;
-        db.col_with[i] = det.partner;
-        if (det.time_min < db.time_till[i]) db.time_till[i] = det.time_min;
-      }
-      if (det.critical) {
-        ++t.critical;
-        const core::Vec2 vel{db.dx[i], db.dy[i]};
-        bool ok = false;
-        for (int attempt = 0; attempt < attempts; ++attempt) {
-          const double angle =
-              reference::trial_angle_deg(attempt, params.turn_step_deg);
-          const core::Vec2 trial = core::rotate_deg(vel, angle);
-          ++t.rescans;
-          ++scans;
-          const reference::DetectOutcome check = reference::scan_candidates(
-              view, buf.id.data(), id, db.x[i], db.y[i], db.alt[i],
-              trial.x, trial.y, params, kernel, t.work,
-              /*stop_at_critical=*/true, index, buf.scan);
-          if (!check.critical) {
-            db.batx[i] = trial.x;
-            db.baty[i] = trial.y;
-            scratch.resolved[i] = 1;
-            ok = true;
-            break;
-          }
+    // Gather the sector's snapshot (owned + halo), optionally build its
+    // swept index and re-gather the snapshot in bucket order, then run
+    // every owned aircraft against it. buf.id maps slots to global ids,
+    // so self-exclusion, the (time_min, id) tie-break, and the reported
+    // partner are those of the whole-table scan.
+    pool.parallel_for(0, sectors, 1, [&](std::size_t s) {
+      const std::span<const std::int32_t> owned = scratch.partition.owned(s);
+      const std::span<const std::int32_t> cand =
+          scratch.partition.candidates(s);
+      tele.sector_owned[s] = owned.size();
+      if (owned.empty()) return;
+      tele.sector_candidates[s] = cand.size();
+
+      ShardScratch::SectorBuffers& buf = scratch.sectors[s];
+      buf.snap.gather(db, cand);
+      buf.id.assign(cand.begin(), cand.end());
+      if (use_index) {
+        buf.swept.build(buf.snap.x, buf.snap.y, buf.snap.dx, buf.snap.dy,
+                        buf.snap.alt, reference::swept_index_params(params));
+        const std::span<const std::int32_t> order = buf.swept.order();
+        for (std::size_t k = 0; k < order.size(); ++k) {
+          buf.id[k] = cand[static_cast<std::size_t>(order[k])];
         }
-        if (ok) {
-          ++t.resolved;
-        } else {
-          ++t.unresolved;
-        }
+        buf.snap.gather(db, buf.id);
       }
-      t.inner_ops += use_index ? 0 : scans * cand.size();
-    }
-    if (use_index) t.inner_ops += t.work.pair_candidates;
-  });
+      const ScanRegion region{buf.snap.view(), buf.id.data(),
+                              use_index ? &buf.swept : nullptr};
+      for (const std::int32_t id : owned) {
+        detect_and_resolve_one(db, scratch.resolved, id, region, params,
+                               kernel, buf.scan, tally[s]);
+      }
+    });
+  }
   ++tele.parallel_regions;
 
   // Commit.
@@ -427,8 +546,8 @@ Task23Stats detect_and_resolve(airfield::FlightDb& db,
   });
   ++tele.parallel_regions;
 
-  for (std::size_t s = 0; s < sectors; ++s) {
-    const SectorTally& t = tally[s];
+  std::uint64_t reads = 0;
+  for (const ResolveTally& t : tally) {
     stats.conflicts += t.conflicts;
     stats.critical += t.critical;
     stats.resolved += t.resolved;
@@ -437,9 +556,17 @@ Task23Stats detect_and_resolve(airfield::FlightDb& db,
     stats.pair_tests += t.work.pair_tests;
     stats.pair_candidates += t.work.pair_candidates;
     stats.lanes_masked += t.work.lanes_masked;
-    tele.inner_ops += t.inner_ops;
-    tele.gather_ops += tele.sector_candidates[s];
+    reads += t.reads;
   }
+  // Records read: the index's enumerated candidates under kGrid, whole
+  // region sweeps under brute force.
+  tele.inner_ops = use_index ? stats.pair_candidates : reads;
+  // [13]'s lock charge: sharded, one per gathered record; unsharded, a
+  // reader lock per record read plus a write lock per conflict flagged
+  // and per trial path stored.
+  tele.locked_ops =
+      sectors > 0 ? gathered(tele)
+                  : tele.inner_ops + stats.conflicts + stats.resolved;
   return stats;
 }
 

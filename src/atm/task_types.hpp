@@ -2,6 +2,7 @@
 // implementations.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "src/core/check.hpp"
@@ -84,6 +85,26 @@ inline void check_task1_params(const Task1Params& params) {
                     params.retries <= kMaxCorrelationRetries,
                 "Task1Params out of range: box_half_nm="
                     << params.box_half_nm << " retries=" << params.retries);
+}
+
+/// Largest turn_max_deg / turn_step_deg: at most 360 trial rotations.
+inline constexpr double kMaxTrialSteps = 180.0;
+
+/// Tasks 2+3's parameter contract, checked on entry to every collision
+/// path: a finite turn step > 0 (NaN fails), a turn maximum in (0, 180]
+/// degrees, and at most kMaxTrialSteps steps to it, so the trial count
+/// (2 * floor(max / step)) is a small int. Aborts through ATM_CHECK
+/// otherwise.
+inline void check_task23_params(const Task23Params& params) {
+  ATM_CHECK_MSG(params.turn_step_deg > 0.0 &&
+                    std::isfinite(params.turn_step_deg) &&
+                    params.turn_max_deg > 0.0 &&
+                    params.turn_max_deg <= 180.0 &&
+                    params.turn_max_deg / params.turn_step_deg <=
+                        kMaxTrialSteps,
+                "Task23Params out of range: turn_step_deg="
+                    << params.turn_step_deg
+                    << " turn_max_deg=" << params.turn_max_deg);
 }
 
 /// Outcome counters of one Task 1 run.

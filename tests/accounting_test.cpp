@@ -3,6 +3,9 @@
 // separation, and period logs.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
 #include "src/airfield/setup.hpp"
 #include "src/airfield/towers.hpp"
 #include "src/atm/cuda_backend.hpp"
@@ -126,6 +129,102 @@ TEST(Accounting, XeonWorkCountersMatchTheoreticalShape) {
   EXPECT_GE(work.inner_ops, 800u * 800u);
   EXPECT_GE(work.locked_ops, work.inner_ops);
   EXPECT_EQ(work.parallel_regions, 2u);
+}
+
+TEST(Accounting, XeonTaskInputsArePinnedOverEveryHostStrategy) {
+  // The Xeon model's Task 1 and Tasks 2+3 inputs over {brute, grid} x
+  // {unsharded, 4x4}: three radar frames whose 0.9 nm of noise makes all
+  // three passes run, then one Tasks 2+3 run, at 1500 aircraft. The
+  // figures are pinned: the model's inputs must not move when the host
+  // execution changes.
+  using core::spatial::BroadphaseMode;
+  using core::spatial::ShardMode;
+  struct Pinned {
+    std::uint64_t inner_ops, locked_ops, parallel_regions;
+  };
+  struct Case {
+    BroadphaseMode broadphase;
+    ShardMode shard;
+    std::array<Pinned, 3> task1;
+    Pinned task23;
+  };
+  const std::array<Case, 4> cases{{
+      {BroadphaseMode::kBruteForce, ShardMode::kNone,
+       {{{3807000, 3809958, 11},
+         {3754500, 3757452, 11},
+         {3772500, 3775460, 11}}},
+       {5446500, 5447419, 2}},
+      {BroadphaseMode::kGrid, ShardMode::kNone,
+       {{{2969, 5927, 11}, {2903, 5855, 11}, {2906, 5866, 11}}},
+       {297676, 298595, 2}},
+      {BroadphaseMode::kBruteForce, ShardMode::kSectors,
+       {{{217099, 2676, 11}, {210964, 2619, 11}, {213990, 2640, 11}}},
+       {5446500, 24000, 2}},
+      {BroadphaseMode::kGrid, ShardMode::kSectors,
+       {{{2684, 2676, 11}, {2627, 2619, 11}, {2645, 2640, 11}}},
+       {297676, 24000, 2}},
+  }};
+  constexpr std::uint64_t n = 1500;
+  airfield::RadarParams radar;
+  radar.noise_nm = 0.9;
+  // Per frame: the unsharded runs' hit count (write locks minus reads and
+  // correlations), which the broadphase must not change.
+  std::array<std::uint64_t, 3> hits{};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(core::spatial::to_string(c.broadphase)) + "/" +
+                 std::string(core::spatial::to_string(c.shard)));
+    const bool unsharded = c.shard == ShardMode::kNone;
+    MimdBackend xeon;
+    xeon.load(airfield::make_airfield(n, 7));
+    core::Rng rng(11);
+    Task1Params p1;
+    p1.broadphase = c.broadphase;
+    p1.shard = c.shard;
+    p1.sectors_per_axis = 4;
+    for (std::size_t f = 0; f < c.task1.size(); ++f) {
+      airfield::RadarFrame frame = xeon.generate_radar(rng, radar, nullptr);
+      const Task1Result r = xeon.run_task1(frame, p1);
+      ASSERT_EQ(r.stats.passes, 3);
+      const mimd::WorkCounters& work = xeon.last_work();
+      EXPECT_EQ(work.items, n);
+      EXPECT_EQ(work.inner_ops, c.task1[f].inner_ops) << "frame " << f;
+      EXPECT_EQ(work.locked_ops, c.task1[f].locked_ops) << "frame " << f;
+      EXPECT_EQ(work.parallel_regions, c.task1[f].parallel_regions)
+          << "frame " << f;
+      if (unsharded) {
+        EXPECT_EQ(work.parallel_regions, 2u + 3u * 3u);
+        const std::uint64_t frame_hits =
+            work.locked_ops - work.inner_ops - r.stats.matched;
+        if (c.broadphase == BroadphaseMode::kBruteForce) {
+          hits[f] = frame_hits;
+        } else {
+          EXPECT_EQ(frame_hits, hits[f]) << "frame " << f;
+        }
+      }
+    }
+    Task23Params p23;
+    p23.broadphase = c.broadphase;
+    p23.shard = c.shard;
+    p23.sectors_per_axis = 4;
+    const Task23Result r = xeon.run_task23(p23);
+    const mimd::WorkCounters& work = xeon.last_work();
+    EXPECT_EQ(work.items, n);
+    EXPECT_EQ(work.inner_ops, c.task23.inner_ops);
+    EXPECT_EQ(work.locked_ops, c.task23.locked_ops);
+    EXPECT_EQ(work.parallel_regions, c.task23.parallel_regions);
+    // At the paper's horizon every sector's halo carries the whole table,
+    // so brute force reads n records per scan in both modes.
+    if (c.broadphase == BroadphaseMode::kGrid) {
+      EXPECT_EQ(work.inner_ops, r.stats.pair_candidates);
+    } else {
+      EXPECT_EQ(work.inner_ops, n * (n + r.stats.rescans));
+    }
+    if (unsharded) {
+      EXPECT_EQ(work.parallel_regions, 2u);
+      EXPECT_EQ(work.locked_ops,
+                work.inner_ops + r.stats.conflicts + r.stats.resolved);
+    }
+  }
 }
 
 TEST(Accounting, XeonMultiRadarTask1InputsHaveAClosedForm) {

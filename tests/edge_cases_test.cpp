@@ -16,6 +16,7 @@
 #include "src/atm/mimd_backend.hpp"
 #include "src/atm/pipeline.hpp"
 #include "src/atm/platforms.hpp"
+#include "src/atm/reference/collision.hpp"
 #include "src/atm/reference_backend.hpp"
 
 namespace atm::tasks {
@@ -277,6 +278,60 @@ TEST(EdgeCasesDeathTest, Task1ParamsOutsideTheContractAbort) {
           ref.load(fleet);
           airfield::RadarFrame frame = multi.base;
           (void)ref.run_task1(frame, params);
+        },
+        want);
+  }
+}
+
+TEST(EdgeCasesDeathTest, Task23ParamsOutsideTheContractAbort) {
+  // The trial count is 2 * floor(max / step) cast to int: a zero, NaN or
+  // tiny step overflows the cast (undefined behaviour), and a turn past
+  // 180 degrees is no longer a turn. The head-on pair makes both
+  // aircraft critical, so every run would reach the trial rotations.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";  // MimdBackend pool
+  airfield::FlightDb fleet(2);
+  fleet.x[0] = 0.0;
+  fleet.dx[0] = 0.05;
+  fleet.x[1] = 25.0;
+  fleet.dx[1] = -0.05;
+  fleet.alt[0] = fleet.alt[1] = 9000.0;
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    double turn_step_deg;
+    double turn_max_deg;
+    const char* context;
+  } bad[] = {{0.0, 30.0, "turn_step_deg=0 turn_max_deg=30"},
+             {nan, 30.0, "turn_step_deg=-?nan turn_max_deg=30"},
+             {1e-12, 30.0, "turn_step_deg=1e-12 turn_max_deg=30"},
+             {5.0, 181.0, "turn_step_deg=5 turn_max_deg=181"}};
+  for (const auto& b : bad) {
+    Task23Params params;
+    params.turn_step_deg = b.turn_step_deg;
+    params.turn_max_deg = b.turn_max_deg;
+    const std::string want =
+        std::string("ATM_CHECK failed: .*\n  at .*task_types\\.hpp:[0-9]+\n"
+                    "  context: Task23Params out of range: ") +
+        b.context;
+    SCOPED_TRACE(want);
+    EXPECT_DEATH(
+        {
+          airfield::FlightDb db = fleet;
+          (void)reference::detect_and_resolve(db, params);
+        },
+        want);
+    EXPECT_DEATH(
+        {
+          MimdBackend mimd;
+          mimd.load(fleet);
+          (void)mimd.run_task23(params);
+        },
+        want);
+    EXPECT_DEATH(
+        {
+          ReferenceBackend ref;
+          ref.load(fleet);
+          (void)ref.run_task23(params);
         },
         want);
   }

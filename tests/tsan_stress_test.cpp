@@ -3,8 +3,8 @@
 // These tests exist to give TSan (and the other sanitizers) dense,
 // adversarial interleavings over every shared-memory structure in the
 // MIMD execution path: the dynamically scheduled thread pool, the striped
-// locks guarding the shared flight database, the MIMD backend's full task
-// set, and concurrent trace-sink emission. They also assert functional
+// locks, the MIMD backend's full task set on the shared flight database,
+// and concurrent trace-sink emission. They also assert functional
 // results, so under a plain build they still verify that contended
 // execution loses no updates.
 //
@@ -20,7 +20,9 @@
 
 #include "src/airfield/radar.hpp"
 #include "src/airfield/setup.hpp"
+#include "src/airfield/towers.hpp"
 #include "src/atm/mimd_backend.hpp"
+#include "src/atm/reference_backend.hpp"
 #include "src/atm/scenarios.hpp"
 #include "src/core/rng.hpp"
 #include "src/core/spatial/broadphase.hpp"
@@ -132,19 +134,28 @@ TEST(TsanStress, StripedLocksProtectPlainCounters) {
             static_cast<std::uint64_t>(kRounds) * kItems);
 }
 
-// --- The mutex-striped shared flight database (MIMD backend) ----------------
+// --- The shared flight database (MIMD backend) ------------------------------
 
 class TsanStressMimdTasks
     : public ::testing::TestWithParam<core::spatial::BroadphaseMode> {};
 
 TEST_P(TsanStressMimdTasks, FullTaskSetOnSharedDb) {
   // The shared-database execution of [13]: every task's workers read and
-  // write one airfield::FlightDb through striped locks. Drive the whole
-  // task set for a few periods under both broadphase modes.
+  // write one airfield::FlightDb. Task 1, multi-radar Task 1 and Tasks
+  // 2+3 take no lock — each write has one owner, and Task 1's coverage
+  // counts are relaxed atomic adds — while display and sporadic take the
+  // striped locks. Drive the whole task set for a few periods under both
+  // broadphase modes and cross-check every result against the sequential
+  // reference on the same inputs, so TSan noise can never hide a lost
+  // update.
   tasks::MimdBackend backend(mimd::paper_xeon_spec(), /*pool_workers=*/4);
+  tasks::ReferenceBackend oracle;
   const airfield::FlightDb initial = airfield::make_airfield(600, 0xA1);
   backend.load(initial);
-  backend.set_terrain(std::make_shared<const airfield::TerrainMap>(5));
+  oracle.load(initial);
+  const auto terrain = std::make_shared<const airfield::TerrainMap>(5);
+  backend.set_terrain(terrain);
+  oracle.set_terrain(terrain);
 
   tasks::Task1Params t1;
   t1.broadphase = GetParam();
@@ -155,14 +166,34 @@ TEST_P(TsanStressMimdTasks, FullTaskSetOnSharedDb) {
   for (int period = 0; period < 4; ++period) {
     airfield::RadarFrame frame =
         backend.generate_radar(rng, {}, /*modeled_ms=*/nullptr);
-    const tasks::Task1Result r1 = backend.run_task1(frame, t1);
-    EXPECT_EQ(r1.stats.radars, frame.size());
+    airfield::RadarFrame oracle_frame = frame;
+    EXPECT_EQ(backend.run_task1(frame, t1).stats,
+              oracle.run_task1(oracle_frame, t1).stats);
+    EXPECT_EQ(frame.rmatch_with, oracle_frame.rmatch_with);
   }
+  airfield::MultiRadarFrame multi = airfield::generate_multi_radar(
+      backend.state(), airfield::make_tower_layout(0xA1), rng);
+  airfield::MultiRadarFrame oracle_multi = multi;
+  const tasks::MultiRadarResult rm = backend.run_multi_task1(multi, t1);
+  EXPECT_GT(rm.stats.matched_aircraft, 0u);
+  EXPECT_EQ(rm.stats, oracle.run_multi_task1(oracle_multi, t1).stats);
+  EXPECT_EQ(multi.base.rmatch_with, oracle_multi.base.rmatch_with);
   const tasks::Task23Result r23 = backend.run_task23(t23);
   EXPECT_EQ(r23.stats.aircraft, initial.size());
-  (void)backend.run_display({});
-  (void)backend.run_terrain({});
-  (void)backend.run_advisory({});
+  EXPECT_EQ(r23.stats, oracle.run_task23(t23).stats);
+  EXPECT_EQ(backend.run_display({}).stats, oracle.run_display({}).stats);
+  EXPECT_EQ(backend.run_terrain({}).stats, oracle.run_terrain({}).stats);
+  EXPECT_EQ(backend.run_advisory({}).stats, oracle.run_advisory({}).stats);
+
+  const airfield::FlightDb& got = backend.state();
+  const airfield::FlightDb& want = oracle.state();
+  EXPECT_TRUE(got.same_flight_state(want));
+  EXPECT_EQ(got.rmatch, want.rmatch);
+  EXPECT_EQ(got.col, want.col);
+  EXPECT_EQ(got.col_with, want.col_with);
+  EXPECT_EQ(got.time_till, want.time_till);
+  EXPECT_EQ(got.sector, want.sector);
+  EXPECT_EQ(got.terrain_warn, want.terrain_warn);
 }
 
 TEST_P(TsanStressMimdTasks, ShardedTaskSetGathersSnapshotsConcurrently) {
