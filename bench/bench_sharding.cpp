@@ -4,7 +4,7 @@
 // The paper's multi-core Xeon loses to every accelerator because its
 // shared-memory scan pays lock traffic on one flight database — the
 // contention term in the cost model grows with aircraft count and makes
-// the curve super-linear. Sharding replaces the striped-lock scan with
+// the curve super-linear. Sharding replaces the locked scan with
 // per-sector snapshot gathers plus halo sets, so the modeled 16-core
 // Xeon time drops back toward the linear work term. This bench sweeps
 // sector counts on the dense-en-route scenario and reports:
@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
   std::printf("%s @ 3000 aircraft: modeled 16-core Xeon Tasks 2+3 speedup "
               "at 4x4 sectors: %.2fx\n",
               scenario.name.c_str(), headline_speedup);
-  std::cout << "\nObservation: sharding removes the striped-lock traffic "
+  std::cout << "\nObservation: sharding removes the per-record lock traffic "
                "on the shared flight\ndatabase — each sector gathers a "
                "snapshot, scans lock-free, and the contention\nterm that "
                "makes the paper's multi-core curve super-linear falls out "

@@ -1,11 +1,9 @@
-// The STARAN associative-processor backend.
+// The STARAN associative processor as the machine of the paper's
+// "AP (STARAN)" platform, AssocBackend<ApAssocMachine> (assoc_backend.hpp).
 #pragma once
-
-#include <memory>
 
 #include "src/ap/ap_machine.hpp"
 #include "src/atm/assoc_tasks.hpp"
-#include "src/atm/backend.hpp"
 
 namespace atm::tasks {
 
@@ -13,8 +11,10 @@ namespace atm::tasks {
 /// used by the shared task templates (src/atm/assoc_tasks.hpp).
 class ApAssocMachine {
  public:
-  ApAssocMachine(std::size_t n, ap::ApCostModel model)
-      : machine_(n, std::move(model)) {}
+  using Spec = ap::ApCostModel;
+  [[nodiscard]] static Spec default_spec() { return ap::staran_model(); }
+
+  ApAssocMachine(std::size_t n, Spec model) : machine_(n, std::move(model)) {}
 
   template <typename F>
   void parallel_all(F&& fn, int word_ops) {
@@ -50,97 +50,6 @@ class ApAssocMachine {
 
  private:
   ap::ApMachine machine_;
-};
-
-/// The paper's "AP (STARAN)" platform.
-class ApBackend final : public Backend {
- public:
-  explicit ApBackend(ap::ApCostModel model = ap::staran_model())
-      : model_(std::move(model)) {}
-
-  [[nodiscard]] std::string name() const override { return model_.name; }
-
-  void load(const airfield::FlightDb& db) override {
-    db_ = db;
-    machine_ = std::make_unique<ApAssocMachine>(db_.size(), model_);
-  }
-
-  [[nodiscard]] const airfield::FlightDb& state() const override {
-    return db_;
-  }
-  airfield::FlightDb& mutable_state() override { return db_; }
-
- private:
-  Task1Result do_run_task1(airfield::RadarFrame& frame,
-                           const Task1Params& params) final {
-    machine_->reset();
-    Task1Result result;
-    result.stats = assoc::assoc_task1(*machine_, db_, frame, params);
-    result.modeled_ms = machine_->elapsed_ms();
-    return result;
-  }
-
-  Task23Result do_run_task23(const Task23Params& params) final {
-    machine_->reset();
-    Task23Result result;
-    result.stats = assoc::assoc_task23(*machine_, db_, params);
-    result.modeled_ms = machine_->elapsed_ms();
-    return result;
-  }
-
-  TerrainResult do_run_terrain(const TerrainTaskParams& params) final {
-    if (terrain_map() == nullptr) {
-      throw std::logic_error("ApBackend::run_terrain: no terrain attached");
-    }
-    machine_->reset();
-    TerrainResult result;
-    result.stats = assoc::assoc_terrain(*machine_, db_, *terrain_map(), params);
-    result.modeled_ms = machine_->elapsed_ms();
-    return result;
-  }
-
-  DisplayResult do_run_display(const DisplayParams& params) final {
-    machine_->reset();
-    DisplayResult result;
-    std::vector<std::int32_t> occupancy;
-    result.stats = assoc::assoc_display(*machine_, db_, occupancy, params);
-    result.modeled_ms = machine_->elapsed_ms();
-    return result;
-  }
-
-  AdvisoryResult do_run_advisory(const AdvisoryParams& params) final {
-    machine_->reset();
-    AdvisoryResult result;
-    result.stats =
-        assoc::assoc_advisory(*machine_, db_, params, result.queue);
-    result.modeled_ms = machine_->elapsed_ms();
-    return result;
-  }
-
-  MultiRadarResult do_run_multi_task1(airfield::MultiRadarFrame& frame,
-                                   const Task1Params& params) final {
-    machine_->reset();
-    MultiRadarResult result;
-    result.stats = assoc::assoc_multi_task1(*machine_, db_, frame, params);
-    result.modeled_ms = machine_->elapsed_ms();
-    return result;
-  }
-
-  SporadicResult do_run_sporadic(std::span<const Query> queries,
-                              const SporadicParams& params) final {
-    (void)params;
-    machine_->reset();
-    SporadicResult result;
-    result.stats =
-        assoc::assoc_sporadic(*machine_, db_, queries, result.answers);
-    result.modeled_ms = machine_->elapsed_ms();
-    return result;
-  }
-
- private:
-  ap::ApCostModel model_;
-  airfield::FlightDb db_;
-  std::unique_ptr<ApAssocMachine> machine_;
 };
 
 }  // namespace atm::tasks

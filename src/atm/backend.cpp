@@ -133,10 +133,14 @@ airfield::RadarFrame Backend::generate_radar(
 }
 
 TerrainResult Backend::run_terrain(const TerrainTaskParams& params) {
+  if (terrain_map() == nullptr) {
+    throw std::logic_error("Backend::run_terrain: no terrain attached");
+  }
   return traced("terrain", [&] { return do_run_terrain(params); });
 }
 
 DisplayResult Backend::run_display(const DisplayParams& params) {
+  check_display_params(params);
   return traced("display", [&] { return do_run_display(params); });
 }
 
@@ -176,9 +180,6 @@ airfield::RadarFrame Backend::do_generate_radar(
 }
 
 TerrainResult Backend::do_run_terrain(const TerrainTaskParams& params) {
-  if (terrain_map() == nullptr) {
-    throw std::logic_error("Backend::run_terrain: no terrain attached");
-  }
   const rt::Stopwatch sw;
   TerrainResult result;
   result.stats =

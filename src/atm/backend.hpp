@@ -114,11 +114,13 @@ class Backend {
   }
 
   /// Terrain avoidance: flag and climb aircraft whose projected path
-  /// violates ground clearance. Runs once per major cycle.
+  /// violates ground clearance. Runs once per major cycle. Throws
+  /// std::logic_error when no terrain is attached, so the hooks can
+  /// rely on terrain_map().
   TerrainResult run_terrain(const TerrainTaskParams& params);
 
   /// Controller display update: sector binning, handoffs, occupancy.
-  /// Runs every period.
+  /// Runs every period. `params` must meet check_display_params.
   DisplayResult run_display(const DisplayParams& params);
 
   /// Automatic voice advisory scan. Runs every 4 seconds.

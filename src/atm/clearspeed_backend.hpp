@@ -1,18 +1,18 @@
-// The ClearSpeed CSX600 backend: the associative algorithm emulated on a
-// 96-PE-per-chip lock-step SIMD array ([12, 13] used this emulation; the
-// paper's figures label it "ClearSpeed").
+// The ClearSpeed CSX600 as the machine of the paper's "ClearSpeed"
+// platform, AssocBackend<ClearSpeedAssocMachine> (assoc_backend.hpp): the
+// associative algorithm emulated on a 96-PE-per-chip lock-step SIMD array
+// ([12, 13] used this emulation; the paper's figures label it
+// "ClearSpeed").
 //
-// Identical algorithm to the STARAN backend, but every parallel primitive
+// Identical algorithm to the STARAN platform, but every parallel primitive
 // pays ceil(n / PEs) virtualization rounds and responder operations become
 // reduction trees — the constant-time AP guarantees do not survive
 // emulation, which is why this platform's curve sits above the AP's.
 #pragma once
 
-#include <memory>
 #include <numeric>
 
 #include "src/atm/assoc_tasks.hpp"
-#include "src/atm/backend.hpp"
 #include "src/simd/lockstep.hpp"
 
 namespace atm::tasks {
@@ -21,7 +21,10 @@ namespace atm::tasks {
 /// concept of src/atm/assoc_tasks.hpp.
 class ClearSpeedAssocMachine {
  public:
-  ClearSpeedAssocMachine(std::size_t n, simd::MachineSpec spec)
+  using Spec = simd::MachineSpec;
+  [[nodiscard]] static Spec default_spec() { return simd::csx600_spec(); }
+
+  ClearSpeedAssocMachine(std::size_t n, Spec spec)
       : machine_(std::move(spec)), n_(n), index_keys_(n) {
     std::iota(index_keys_.begin(), index_keys_.end(), 0.0);
   }
@@ -72,98 +75,6 @@ class ClearSpeedAssocMachine {
   simd::LockstepMachine machine_;
   std::size_t n_;
   std::vector<double> index_keys_;
-};
-
-/// The paper's "ClearSpeed" platform.
-class ClearSpeedBackend final : public Backend {
- public:
-  explicit ClearSpeedBackend(simd::MachineSpec spec = simd::csx600_spec())
-      : spec_(std::move(spec)) {}
-
-  [[nodiscard]] std::string name() const override { return spec_.name; }
-
-  void load(const airfield::FlightDb& db) override {
-    db_ = db;
-    machine_ = std::make_unique<ClearSpeedAssocMachine>(db_.size(), spec_);
-  }
-
-  [[nodiscard]] const airfield::FlightDb& state() const override {
-    return db_;
-  }
-  airfield::FlightDb& mutable_state() override { return db_; }
-
- private:
-  Task1Result do_run_task1(airfield::RadarFrame& frame,
-                           const Task1Params& params) final {
-    machine_->reset();
-    Task1Result result;
-    result.stats = assoc::assoc_task1(*machine_, db_, frame, params);
-    result.modeled_ms = machine_->elapsed_ms();
-    return result;
-  }
-
-  Task23Result do_run_task23(const Task23Params& params) final {
-    machine_->reset();
-    Task23Result result;
-    result.stats = assoc::assoc_task23(*machine_, db_, params);
-    result.modeled_ms = machine_->elapsed_ms();
-    return result;
-  }
-
-  TerrainResult do_run_terrain(const TerrainTaskParams& params) final {
-    if (terrain_map() == nullptr) {
-      throw std::logic_error(
-          "ClearSpeedBackend::run_terrain: no terrain attached");
-    }
-    machine_->reset();
-    TerrainResult result;
-    result.stats = assoc::assoc_terrain(*machine_, db_, *terrain_map(), params);
-    result.modeled_ms = machine_->elapsed_ms();
-    return result;
-  }
-
-  DisplayResult do_run_display(const DisplayParams& params) final {
-    machine_->reset();
-    DisplayResult result;
-    std::vector<std::int32_t> occupancy;
-    result.stats = assoc::assoc_display(*machine_, db_, occupancy, params);
-    result.modeled_ms = machine_->elapsed_ms();
-    return result;
-  }
-
-  AdvisoryResult do_run_advisory(const AdvisoryParams& params) final {
-    machine_->reset();
-    AdvisoryResult result;
-    result.stats =
-        assoc::assoc_advisory(*machine_, db_, params, result.queue);
-    result.modeled_ms = machine_->elapsed_ms();
-    return result;
-  }
-
-  MultiRadarResult do_run_multi_task1(airfield::MultiRadarFrame& frame,
-                                   const Task1Params& params) final {
-    machine_->reset();
-    MultiRadarResult result;
-    result.stats = assoc::assoc_multi_task1(*machine_, db_, frame, params);
-    result.modeled_ms = machine_->elapsed_ms();
-    return result;
-  }
-
-  SporadicResult do_run_sporadic(std::span<const Query> queries,
-                              const SporadicParams& params) final {
-    (void)params;
-    machine_->reset();
-    SporadicResult result;
-    result.stats =
-        assoc::assoc_sporadic(*machine_, db_, queries, result.answers);
-    result.modeled_ms = machine_->elapsed_ms();
-    return result;
-  }
-
- private:
-  simd::MachineSpec spec_;
-  airfield::FlightDb db_;
-  std::unique_ptr<ClearSpeedAssocMachine> machine_;
 };
 
 }  // namespace atm::tasks

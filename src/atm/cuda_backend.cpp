@@ -411,9 +411,6 @@ void CudaBackend::on_terrain_attached() {
 }
 
 TerrainResult CudaBackend::do_run_terrain(const TerrainTaskParams& params) {
-  if (terrain_map() == nullptr) {
-    throw std::logic_error("CudaBackend::run_terrain: no terrain attached");
-  }
   const std::size_t n = db_.size();
   TerrainResult result;
   counters_.assign(cuda::kCounterSlots, 0);

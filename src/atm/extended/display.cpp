@@ -19,6 +19,7 @@ std::int32_t sector_of(double x, double y, int sectors_per_axis) {
 DisplayStats display_update(airfield::FlightDb& db,
                             std::vector<std::int32_t>& occupancy,
                             const DisplayParams& params) {
+  check_display_params(params);
   DisplayStats stats;
   stats.aircraft = db.size();
   const int k = params.sectors_per_axis;

@@ -21,6 +21,7 @@ namespace atm::tasks::extended {
 
 /// Reference display update: assigns db.sector, counts handoffs, and
 /// fills `occupancy` (resized to k*k) with per-sector aircraft counts.
+/// `params` must meet check_display_params.
 DisplayStats display_update(airfield::FlightDb& db,
                             std::vector<std::int32_t>& occupancy,
                             const DisplayParams& params = {});

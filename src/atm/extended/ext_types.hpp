@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/core/check.hpp"
 #include "src/core/units.hpp"
 
 namespace atm::tasks {
@@ -45,6 +46,20 @@ struct DisplayParams {
   /// Sectors per axis over the airfield (16 => 16 nm sectors).
   int sectors_per_axis = 16;
 };
+
+/// Largest DisplayParams::sectors_per_axis: the k * k sector ids must fit
+/// an int32 (46340^2 < 2^31).
+inline constexpr int kMaxDisplaySectorsPerAxis = 46340;
+
+/// The display's parameter contract, checked on entry to every display
+/// path: 1 <= sectors_per_axis <= kMaxDisplaySectorsPerAxis. Aborts
+/// through ATM_CHECK otherwise.
+inline void check_display_params(const DisplayParams& params) {
+  ATM_CHECK_MSG(params.sectors_per_axis >= 1 &&
+                    params.sectors_per_axis <= kMaxDisplaySectorsPerAxis,
+                "DisplayParams out of range: sectors_per_axis="
+                    << params.sectors_per_axis);
+}
 
 struct DisplayStats {
   std::uint64_t aircraft = 0;

@@ -27,6 +27,7 @@ std::vector<Query> make_query_batch(const airfield::FlightDb& db,
                                     core::Rng& rng,
                                     const SporadicParams& params,
                                     int sectors_per_axis) {
+  check_display_params({.sectors_per_axis = sectors_per_axis});
   std::vector<Query> batch;
   if (db.empty()) return batch;
   for (int q = 0; q < params.queries_per_batch; ++q) {

@@ -29,6 +29,8 @@ namespace atm::tasks::extended {
 /// scaffolding, not an ATM task). kById targets an existing aircraft;
 /// kInSector draws an occupied-ish sector by sampling an aircraft's
 /// position; kNearPoint centres on a uniform field position.
+/// `sectors_per_axis` is the display's grid and must meet
+/// check_display_params.
 [[nodiscard]] std::vector<Query> make_query_batch(
     const airfield::FlightDb& db, core::Rng& rng,
     const SporadicParams& params, int sectors_per_axis = 16);

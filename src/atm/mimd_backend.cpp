@@ -24,10 +24,7 @@ constexpr std::size_t kChunk = 64;
 
 MimdBackend::MimdBackend(mimd::XeonSpec spec, unsigned pool_workers,
                          std::uint64_t jitter_seed)
-    : model_(std::move(spec)),
-      pool_(pool_workers),
-      locks_(128),
-      jitter_rng_(jitter_seed) {}
+    : model_(std::move(spec)), pool_(pool_workers), jitter_rng_(jitter_seed) {}
 
 void MimdBackend::load(const airfield::FlightDb& db) {
   db_ = db;
@@ -36,10 +33,8 @@ void MimdBackend::load(const airfield::FlightDb& db) {
 }
 
 double MimdBackend::model_work(mimd::WorkCounters work,
-                               std::uint64_t charged_locks) {
-  const mimd::LockCounts locks = locks_.take_counts();
-  work.locked_ops = charged_locks + locks.acquisitions;
-  work.contended = locks.contended;
+                               std::uint64_t locked_ops) {
+  work.locked_ops = locked_ops;
   last_work_ = work;
   return model_.model_ms(work, jitter_rng_);
 }
@@ -77,9 +72,6 @@ Task23Result MimdBackend::do_run_task23(const Task23Params& params) {
 // --- Extended system --------------------------------------------------------
 
 TerrainResult MimdBackend::do_run_terrain(const TerrainTaskParams& params) {
-  if (terrain_map() == nullptr) {
-    throw std::logic_error("MimdBackend::run_terrain: no terrain attached");
-  }
   const std::size_t n = db_.size();
   TerrainResult result;
   result.stats.aircraft = n;
@@ -116,21 +108,24 @@ DisplayResult MimdBackend::do_run_display(const DisplayParams& params) {
 
   mimd::WorkCounters work;
   work.items = n;
-  std::vector<std::int32_t> occupancy(static_cast<std::size_t>(k) * k, 0);
   std::atomic<std::uint64_t> handoffs{0};
 
-  // Occupancy bins are shared by all workers: real striped-lock traffic.
+  // Each worker writes only its own aircraft's sector record.
   pool_.parallel_for(0, n, kChunk, [&](std::size_t i) {
     const std::int32_t s = extended::sector_of(db_.x[i], db_.y[i], k);
     if (db_.sector[i] != kNone && db_.sector[i] != s) {
       handoffs.fetch_add(1, std::memory_order_relaxed);
     }
     db_.sector[i] = s;
-    locks_.with_lock(static_cast<std::size_t>(s),
-                     [&] { ++occupancy[static_cast<std::size_t>(s)]; });
   });
   ++work.parallel_regions;
 
+  // After the join, one serial pass over the sector records fills the
+  // occupancy bins.
+  std::vector<std::int32_t> occupancy(static_cast<std::size_t>(k) * k, 0);
+  for (const std::int32_t s : db_.sector) {
+    ++occupancy[static_cast<std::size_t>(s)];
+  }
   result.stats.handoffs = handoffs.load();
   for (const std::int32_t count : occupancy) {
     if (count > 0) ++result.stats.occupied_sectors;
@@ -138,7 +133,8 @@ DisplayResult MimdBackend::do_run_display(const DisplayParams& params) {
         result.stats.max_occupancy, static_cast<std::uint64_t>(count));
   }
   work.inner_ops = n * 4;  // record read, sector math, bin update
-  result.modeled_ms = model_work(work, work.inner_ops);
+  // [13] takes one write lock per aircraft on its sector's bin.
+  result.modeled_ms = model_work(work, work.inner_ops + n);
   return result;
 }
 
@@ -196,8 +192,8 @@ SporadicResult MimdBackend::do_run_sporadic(std::span<const Query> queries,
   mimd::WorkCounters work;
   work.items = n;
   if (q > 0 && n > 0) {
-    // Each worker scans a chunk of the shared table against every query;
-    // per-query partial answers merge under the query's stripe lock.
+    // Each worker scans a chunk of the shared table against every query
+    // and flags the hits; a serial gather appends them to the answers.
     std::vector<std::uint8_t> flags(q * n, 0);
     pool_.parallel_for(0, n, kChunk, [&](std::size_t i) {
       for (std::size_t qi = 0; qi < q; ++qi) {
@@ -210,16 +206,15 @@ SporadicResult MimdBackend::do_run_sporadic(std::span<const Query> queries,
     for (std::size_t qi = 0; qi < q; ++qi) {
       for (std::size_t i = 0; i < n; ++i) {
         if (flags[qi * n + i]) {
-          locks_.with_lock(qi, [&] {
-            result.answers[qi].push_back(static_cast<std::int32_t>(i));
-          });
+          result.answers[qi].push_back(static_cast<std::int32_t>(i));
           ++result.stats.hits;
         }
       }
     }
   }
   work.inner_ops = static_cast<std::uint64_t>(n) * q;
-  result.modeled_ms = model_work(work, work.inner_ops);
+  // [13] takes one lock per hit on the query's answer list.
+  result.modeled_ms = model_work(work, work.inner_ops + result.stats.hits);
   return result;
 }
 

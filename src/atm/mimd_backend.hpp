@@ -11,12 +11,10 @@
 //                 implementation performs under a reader lock on the
 //                 shared record),
 //  * locked_ops — [13]'s lock acquisitions: the reader locks above plus
-//                 its write locks. Task 1, Tasks 2+3 and multi-radar
-//                 Task 1 give every write one owner and take no lock;
-//                 they charge [13]'s locks from their counts
-//                 (sharded::ShardTelemetry, docs/COST_MODELS.md §4). The
-//                 display and sporadic tasks really take striped locks
-//                 and add those acquisitions,
+//                 its write locks. No task takes a host lock on task
+//                 data: every write has one owner, and each task charges
+//                 [13]'s locks from its counts (sharded::ShardTelemetry
+//                 for Task 1 and Tasks 2+3, docs/COST_MODELS.md §4),
 //  * parallel_regions — fork/join barriers.
 //
 // Task 1 and Tasks 2+3 run on the host pool executor (sharded.hpp) in
@@ -55,8 +53,8 @@ class MimdBackend final : public Backend {
                            const Task1Params& params) final;
   Task23Result do_run_task23(const Task23Params& params) final;
 
-  // Extended system (see backend.hpp): thread-pool execution with the
-  // shared-database locking discipline, modeled through the Xeon model.
+  // Extended system (see backend.hpp): thread-pool execution over the
+  // shared database, modeled through the Xeon model.
   TerrainResult do_run_terrain(const TerrainTaskParams& params) final;
   DisplayResult do_run_display(const DisplayParams& params) final;
   AdvisoryResult do_run_advisory(const AdvisoryParams& params) final;
@@ -75,17 +73,15 @@ class MimdBackend final : public Backend {
   void set_jitter_seed(std::uint64_t seed) { jitter_rng_ = core::Rng(seed); }
 
  private:
-  /// The tail every task's work accounting shares: charge
-  /// `charged_locks` of [13]'s lock acquisitions (see the file comment)
-  /// plus the stripe locks the run really took, reset the stripe counters,
-  /// keep the counters as last_work(), and return their modeled time.
-  double model_work(mimd::WorkCounters work, std::uint64_t charged_locks);
+  /// The tail every task's work accounting shares: charge `locked_ops`
+  /// of [13]'s lock acquisitions (see the file comment), keep the
+  /// counters as last_work(), and return their modeled time.
+  double model_work(mimd::WorkCounters work, std::uint64_t locked_ops);
   /// The same for one executor run, from its telemetry.
   double model_work(const sharded::ShardTelemetry& telemetry);
 
   mimd::XeonModel model_;
   mimd::ThreadPool pool_;
-  mimd::StripedLocks locks_;
   core::Rng jitter_rng_;
   airfield::FlightDb db_;
   mimd::WorkCounters last_work_;

@@ -1,6 +1,7 @@
 #include "src/atm/platforms.hpp"
 
 #include "src/atm/ap_backend.hpp"
+#include "src/atm/assoc_backend.hpp"
 #include "src/atm/clearspeed_backend.hpp"
 #include "src/atm/cuda_backend.hpp"
 #include "src/atm/mimd_backend.hpp"
@@ -22,11 +23,11 @@ std::unique_ptr<Backend> make_titan_x_pascal() {
 }
 
 std::unique_ptr<Backend> make_staran() {
-  return std::make_unique<ApBackend>();
+  return std::make_unique<AssocBackend<ApAssocMachine>>();
 }
 
 std::unique_ptr<Backend> make_clearspeed() {
-  return std::make_unique<ClearSpeedBackend>();
+  return std::make_unique<AssocBackend<ClearSpeedAssocMachine>>();
 }
 
 std::unique_ptr<Backend> make_xeon() {

@@ -19,8 +19,7 @@
 namespace atm::sync {
 
 /// An exclusive capability over std::mutex. Default-constructible and
-/// pinned in place (no copy/move), so `std::vector<Mutex>(n)` works for
-/// striped-lock arrays the same way `std::vector<std::mutex>` does.
+/// pinned in place (no copy/move), like std::mutex itself.
 class ATM_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;

@@ -106,19 +106,4 @@ void ThreadPool::worker_loop() {
   }
 }
 
-StripedLocks::StripedLocks(std::size_t stripes)
-    : stripes_(std::max<std::size_t>(1, stripes)) {}
-
-LockCounts StripedLocks::take_counts() {
-  LockCounts total;
-  for (Stripe& s : stripes_) {
-    const sync::MutexLock lock(s.mutex);
-    total.acquisitions += s.acquisitions;
-    total.contended += s.contended;
-    s.acquisitions = 0;
-    s.contended = 0;
-  }
-  return total;
-}
-
 }  // namespace atm::mimd

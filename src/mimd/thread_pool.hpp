@@ -4,18 +4,19 @@
 // in shared memory that all processors access, executing asynchronously.
 // This pool reproduces that execution style: worker threads pull index
 // chunks dynamically (so completion order is nondeterministic, like a real
-// MIMD machine under OS scheduling), and the ATM MIMD backend layers real
-// mutex-striped locking over the shared flight database on top of it.
+// MIMD machine under OS scheduling). The ATM MIMD backend runs every task
+// on it over the shared flight database, giving each write one owner; it
+// takes no lock on task data and charges [13]'s locks from counts instead
+// (src/atm/mimd_backend.hpp).
 //
 // On this reproduction host the pool also *works* as a real parallel
 // substrate; the modeled 16-core Xeon timing comes from xeon_model.hpp fed
-// with the work and contention counters the execution produces.
+// with the work counters the execution produces.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -67,54 +68,6 @@ class ThreadPool {
   Job* job_ ATM_GUARDED_BY(mutex_) = nullptr;          ///< Current job, if any.
   std::size_t job_generation_ ATM_GUARDED_BY(mutex_) = 0;
   bool stop_ ATM_GUARDED_BY(mutex_) = false;
-};
-
-/// Lock acquisitions and observed contention (try_lock failures) summed
-/// over every stripe; they feed the Xeon contention model.
-struct LockCounts {
-  std::uint64_t acquisitions = 0;
-  std::uint64_t contended = 0;
-};
-
-/// A set of striped mutexes guarding a shared array: index i is protected
-/// by stripe i % stripes. Each stripe counts its own acquisitions and
-/// contention under its own mutex, on its own cache line, so counting adds
-/// no shared write beyond the lock itself.
-///
-/// Lock-contract note: which *data* stripe i protects is a dynamic,
-/// per-element property (slot i of whatever array the caller shards), so
-/// it cannot be expressed as an ATM_GUARDED_BY annotation — the static
-/// layer proves with_lock's acquire/release balance, and the TSan stress
-/// suite covers the element-to-stripe mapping discipline.
-class StripedLocks {
- public:
-  explicit StripedLocks(std::size_t stripes = 64);
-
-  /// Lock the stripe for index i, run fn, unlock. Returns through fn.
-  template <typename F>
-  void with_lock(std::size_t i, F&& fn) {
-    Stripe& s = stripes_[i % stripes_.size()];
-    if (!s.mutex.try_lock()) {
-      s.mutex.lock();
-      ++s.contended;
-    }
-    ++s.acquisitions;
-    fn();
-    s.mutex.unlock();
-  }
-
-  /// Sum every stripe's counters and zero them, one stripe lock at a time.
-  /// Exact once the with_lock calls being counted have returned.
-  LockCounts take_counts();
-
- private:
-  struct alignas(64) Stripe {
-    sync::Mutex mutex;
-    std::uint64_t acquisitions ATM_GUARDED_BY(mutex) = 0;
-    std::uint64_t contended ATM_GUARDED_BY(mutex) = 0;
-  };
-
-  std::vector<Stripe> stripes_;
 };
 
 }  // namespace atm::mimd

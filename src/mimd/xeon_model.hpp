@@ -10,11 +10,12 @@
 // variable amount of time (Section 2.3: MIMD machines are not
 // "predictable").
 //
-// Our MIMD backend really executes the tasks on a host thread pool with
-// striped locks (src/mimd/thread_pool.hpp) and counts the work it did:
-// inner-loop operations, lock acquisitions, and parallel regions. This
-// model converts those measured counters into the modeled 16-core Xeon
-// time:
+// Our MIMD backend really executes the tasks on a host thread pool
+// (src/mimd/thread_pool.hpp) and counts the work it did: inner-loop
+// operations, the lock acquisitions [13] would take for that work
+// (charged from counts; the host takes no lock on task data), and
+// parallel regions. This model converts those counters into the modeled
+// 16-core Xeon time:
 //
 //   t = barriers + compute/cores + locks * lock_cost * contention / cores
 //   contention(n) = 1 + alpha * sqrt(n / 1000)        (hot-lock crowding)
@@ -39,18 +40,8 @@ namespace atm::mimd {
 struct WorkCounters {
   std::uint64_t items = 0;        ///< Outer work items (aircraft/radars).
   std::uint64_t inner_ops = 0;    ///< Inner-loop operations executed.
-  std::uint64_t locked_ops = 0;   ///< Lock acquisitions performed.
-  std::uint64_t contended = 0;    ///< Lock acquisitions that hit contention.
+  std::uint64_t locked_ops = 0;   ///< [13]'s lock acquisitions, charged.
   std::uint64_t parallel_regions = 0;  ///< fork/join barriers.
-
-  WorkCounters& operator+=(const WorkCounters& o) {
-    items += o.items;
-    inner_ops += o.inner_ops;
-    locked_ops += o.locked_ops;
-    contended += o.contended;
-    parallel_regions += o.parallel_regions;
-    return *this;
-  }
 };
 
 /// Calibration constants for the modeled Xeon.

@@ -9,6 +9,7 @@
 #include "src/airfield/setup.hpp"
 #include "src/airfield/towers.hpp"
 #include "src/atm/cuda_backend.hpp"
+#include "src/atm/extended/sporadic.hpp"
 #include "src/atm/mimd_backend.hpp"
 #include "src/atm/pipeline.hpp"
 #include "src/atm/platforms.hpp"
@@ -272,6 +273,62 @@ TEST(Accounting, XeonMultiRadarTask1RetryFrameIsPinned) {
   EXPECT_EQ(work.inner_ops, 8310327u);
   EXPECT_EQ(work.locked_ops, 8310927u);
   EXPECT_EQ(work.parallel_regions, 11u);
+}
+
+TEST(Accounting, XeonExtendedTaskInputsHaveClosedForms) {
+  // The Xeon model's inputs for the extended tasks at 1500 aircraft. Each
+  // task is one parallel region over the shared table and charges [13]'s
+  // locks from its counts (docs/COST_MODELS.md §4). The figures are
+  // pinned: the model's inputs must not move when the host execution
+  // changes.
+  constexpr std::uint64_t n = 1500;
+  MimdBackend xeon(mimd::paper_xeon_spec(), /*pool_workers=*/3,
+                   /*jitter_seed=*/7);
+  xeon.load(airfield::make_airfield(n, 7));
+  const auto expect_work = [&](std::uint64_t inner_ops,
+                               std::uint64_t locked_ops) {
+    const mimd::WorkCounters& work = xeon.last_work();
+    EXPECT_EQ(work.items, n);
+    EXPECT_EQ(work.inner_ops, inner_ops);
+    EXPECT_EQ(work.locked_ops, locked_ops);
+    EXPECT_EQ(work.parallel_regions, 1u);
+  };
+
+  // Display: 4 record operations per aircraft, plus one write lock on its
+  // sector's bin. Fresh sectors hand nothing off.
+  EXPECT_EQ(xeon.run_display({}).stats, (DisplayStats{n, 0, 255, 12}));
+  expect_work(4 * n, 5 * n);
+
+  // Sporadic: every query reads every record, plus one lock per hit.
+  core::Rng query_rng(11);
+  const std::vector<Query> queries =
+      extended::make_query_batch(xeon.state(), query_rng,
+                                 {.queries_per_batch = 8});
+  const SporadicResult sporadic = xeon.run_sporadic(queries, {});
+  EXPECT_EQ(sporadic.stats.hits, 56u);
+  expect_work(n * queries.size(), n * queries.size() + 56);
+
+  // Advisory: 4 record operations per aircraft, plus one lock per
+  // enqueued advisory.
+  const AdvisoryResult advisory = xeon.run_advisory({});
+  EXPECT_EQ(advisory.queue.size(), 177u);
+  expect_work(4 * n, 4 * n + 177);
+
+  // Terrain: each sample reads 4 heightmap cells plus the record, all
+  // under reader locks.
+  xeon.set_terrain(std::make_shared<const airfield::TerrainMap>(5));
+  const TerrainTaskParams terrain;
+  EXPECT_EQ(xeon.run_terrain(terrain).stats.samples,
+            n * static_cast<std::uint64_t>(terrain.samples));
+  expect_work(5 * n * terrain.samples, 5 * n * terrain.samples);
+
+  // One Task 1 period moves aircraft across sector lines; the second
+  // display counts those handoffs and charges the same work.
+  core::Rng radar_rng(11);
+  airfield::RadarFrame frame = xeon.generate_radar(radar_rng, {}, nullptr);
+  (void)xeon.run_task1(frame, {});
+  EXPECT_EQ(xeon.run_display({}).stats, (DisplayStats{n, 34, 255, 12}));
+  expect_work(4 * n, 5 * n);
 }
 
 }  // namespace

@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "src/airfield/setup.hpp"
-#include "src/atm/ap_backend.hpp"
-#include "src/atm/clearspeed_backend.hpp"
 #include "src/atm/cuda_backend.hpp"
 #include "src/atm/mimd_backend.hpp"
 #include "src/atm/pipeline.hpp"
@@ -89,9 +87,10 @@ TEST(CostModel, CudaTimingIsExactlyReproducible) {
 
 TEST(CostModel, ApTimingIsExactlyReproducible) {
   const airfield::FlightDb field = airfield::make_airfield(900, 5);
-  ApBackend a, b;
-  const TaskTimes ta = run_once(a, field);
-  const TaskTimes tb = run_once(b, field);
+  const auto a = make_staran();
+  const auto b = make_staran();
+  const TaskTimes ta = run_once(*a, field);
+  const TaskTimes tb = run_once(*b, field);
   EXPECT_DOUBLE_EQ(ta.task1_ms, tb.task1_ms);
   EXPECT_DOUBLE_EQ(ta.task23_ms, tb.task23_ms);
 }
@@ -113,8 +112,8 @@ TEST(CostModel, ApTask1ScalesLinearly) {
   // linear fit.
   std::vector<double> ns, ts;
   for (const std::size_t n : {250u, 500u, 1000u, 2000u, 3000u}) {
-    ApBackend ap;
-    const TaskTimes t = run_once(ap, airfield::make_airfield(n, 70 + n));
+    const auto ap = make_staran();
+    const TaskTimes t = run_once(*ap, airfield::make_airfield(n, 70 + n));
     ns.push_back(static_cast<double>(n));
     ts.push_back(t.task1_ms);
   }

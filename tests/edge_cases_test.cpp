@@ -11,6 +11,7 @@
 #include "src/airfield/setup.hpp"
 #include "src/airfield/towers.hpp"
 #include "src/atm/cuda_backend.hpp"
+#include "src/atm/extended/display.hpp"
 #include "src/atm/extended/full_pipeline.hpp"
 #include "src/atm/extended/multiradar.hpp"
 #include "src/atm/mimd_backend.hpp"
@@ -337,8 +338,47 @@ TEST(EdgeCasesDeathTest, Task23ParamsOutsideTheContractAbort) {
   }
 }
 
+TEST(EdgeCasesDeathTest, DisplayParamsOutsideTheContractAbort) {
+  // Sector ids are cy * k + cx on a k x k grid: k < 1 clamps into an
+  // empty range (std::clamp's hi < lo) and bins into sector -1, and k
+  // past kMaxDisplaySectorsPerAxis overflows the int32 ids.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";  // MimdBackend pool
+  const airfield::FlightDb fleet = airfield::make_airfield(10, 1);
+  for (const int k : {0, -1, kMaxDisplaySectorsPerAxis + 1}) {
+    DisplayParams params;
+    params.sectors_per_axis = k;
+    const std::string want =
+        std::string("ATM_CHECK failed: .*\n  at .*ext_types\\.hpp:[0-9]+\n"
+                    "  context: DisplayParams out of range: "
+                    "sectors_per_axis=") +
+        std::to_string(k);
+    SCOPED_TRACE(want);
+    EXPECT_DEATH(
+        {
+          airfield::FlightDb db = fleet;
+          std::vector<std::int32_t> occupancy;
+          (void)extended::display_update(db, occupancy, params);
+        },
+        want);
+    for (const auto make :
+         {make_reference, make_xeon, make_staran, make_titan_x_pascal}) {
+      EXPECT_DEATH(
+          {
+            const std::unique_ptr<Backend> backend = make();
+            backend->load(fleet);
+            (void)backend->run_display(params);
+          },
+          want);
+    }
+  }
+}
+
 TEST(EdgeCases, TerrainWithoutAttachThrows) {
-  for (auto& backend : make_platforms(PlatformSet::kAllPlatforms)) {
+  std::vector<std::unique_ptr<Backend>> backends =
+      make_platforms(PlatformSet::kAllPlatforms);
+  backends.push_back(make_reference());
+  backends.push_back(make_xeon_phi());
+  for (auto& backend : backends) {
     backend->load(airfield::make_airfield(10, 1));
     EXPECT_THROW((void)backend->run_terrain({}), std::logic_error)
         << backend->name();

@@ -1,5 +1,4 @@
-// Tests for the thread pool, striped locks, and the Xeon cost model
-// (src/mimd).
+// Tests for the thread pool and the Xeon cost model (src/mimd).
 #include "src/mimd/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -65,37 +64,10 @@ TEST(ThreadPool, ChunkZeroIsClampedToOne) {
   EXPECT_EQ(count.load(), 50);
 }
 
-TEST(StripedLocks, CountsAcquisitions) {
-  StripedLocks locks(8);
-  int shared = 0;
-  for (std::size_t i = 0; i < 100; ++i) {
-    locks.with_lock(i, [&] { ++shared; });
-  }
-  EXPECT_EQ(shared, 100);
-  const LockCounts counts = locks.take_counts();
-  EXPECT_EQ(counts.acquisitions, 100u);
-  EXPECT_EQ(counts.contended, 0u);  // one thread never contends
-  EXPECT_EQ(locks.take_counts().acquisitions, 0u);  // taking zeroes them
-}
-
-TEST(StripedLocks, ProtectsSharedCounterUnderContention) {
-  StripedLocks locks(4);
-  ThreadPool pool(4);
-  long long shared = 0;
-  pool.parallel_for(0, 20000, 8, [&](std::size_t) {
-    locks.with_lock(0, [&] { ++shared; });
-  });
-  EXPECT_EQ(shared, 20000);
-  const LockCounts counts = locks.take_counts();
-  EXPECT_EQ(counts.acquisitions, 20000u);
-  EXPECT_LE(counts.contended, counts.acquisitions);
-}
-
 TEST(XeonModel, DeterministicPartScalesWithWork) {
   const XeonModel model(paper_xeon_spec());
   WorkCounters small{.items = 1000, .inner_ops = 1'000'000,
-                     .locked_ops = 1'000'000, .contended = 0,
-                     .parallel_regions = 2};
+                     .locked_ops = 1'000'000, .parallel_regions = 2};
   WorkCounters big = small;
   big.inner_ops *= 16;
   big.locked_ops *= 16;
@@ -106,7 +78,7 @@ TEST(XeonModel, DeterministicPartScalesWithWork) {
 TEST(XeonModel, ContentionGrowsWithItems) {
   const XeonModel model(paper_xeon_spec());
   WorkCounters few{.items = 1000, .inner_ops = 0, .locked_ops = 1'000'000,
-                   .contended = 0, .parallel_regions = 0};
+                   .parallel_regions = 0};
   WorkCounters many = few;
   many.items = 16000;
   EXPECT_GT(model.deterministic_ms(many), model.deterministic_ms(few));
@@ -115,8 +87,7 @@ TEST(XeonModel, ContentionGrowsWithItems) {
 TEST(XeonModel, JitterInflatesButNeverDeflates) {
   const XeonModel model(paper_xeon_spec());
   const WorkCounters work{.items = 4000, .inner_ops = 16'000'000,
-                          .locked_ops = 16'000'000, .contended = 100,
-                          .parallel_regions = 4};
+                          .locked_ops = 16'000'000, .parallel_regions = 4};
   const double base = model.deterministic_ms(work);
   core::Rng rng(1234);
   for (int i = 0; i < 200; ++i) {
@@ -130,8 +101,7 @@ TEST(XeonModel, JitterInflatesButNeverDeflates) {
 TEST(XeonModel, JitterIsNondeterministicAcrossSeeds) {
   const XeonModel model(paper_xeon_spec());
   const WorkCounters work{.items = 4000, .inner_ops = 16'000'000,
-                          .locked_ops = 16'000'000, .contended = 0,
-                          .parallel_regions = 4};
+                          .locked_ops = 16'000'000, .parallel_regions = 4};
   core::Rng a(1), b(2);
   EXPECT_NE(model.model_ms(work, a), model.model_ms(work, b));
 }
@@ -139,25 +109,12 @@ TEST(XeonModel, JitterIsNondeterministicAcrossSeeds) {
 TEST(XeonModel, BarrierCostCountsParallelRegions) {
   const XeonModel model(paper_xeon_spec());
   WorkCounters none{.items = 0, .inner_ops = 0, .locked_ops = 0,
-                    .contended = 0, .parallel_regions = 0};
+                    .parallel_regions = 0};
   WorkCounters many = none;
   many.parallel_regions = 100;
   EXPECT_DOUBLE_EQ(model.deterministic_ms(none), 0.0);
   EXPECT_NEAR(model.deterministic_ms(many),
               100 * model.spec().barrier_us * 1e-3, 1e-9);
-}
-
-TEST(WorkCounters, AccumulateWithPlusEquals) {
-  WorkCounters a{.items = 1, .inner_ops = 2, .locked_ops = 3,
-                 .contended = 4, .parallel_regions = 5};
-  const WorkCounters b{.items = 10, .inner_ops = 20, .locked_ops = 30,
-                       .contended = 40, .parallel_regions = 50};
-  a += b;
-  EXPECT_EQ(a.items, 11u);
-  EXPECT_EQ(a.inner_ops, 22u);
-  EXPECT_EQ(a.locked_ops, 33u);
-  EXPECT_EQ(a.contended, 44u);
-  EXPECT_EQ(a.parallel_regions, 55u);
 }
 
 }  // namespace

@@ -30,9 +30,9 @@ class Account {
     return true;
   }
 
-  // The StripedLocks::with_lock shape: contend, fall back to a blocking
-  // lock and count the contention under it, and join the two paths with
-  // the capability held on both.
+  // The generic try-lock-then-lock shape: contend, fall back to a
+  // blocking lock and count the contention under it, and join the two
+  // paths with the capability held on both.
   void deposit_contended(int amount) {
     if (!mu_.try_lock()) {
       mu_.lock();

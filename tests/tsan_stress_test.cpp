@@ -2,11 +2,11 @@
 //
 // These tests exist to give TSan (and the other sanitizers) dense,
 // adversarial interleavings over every shared-memory structure in the
-// MIMD execution path: the dynamically scheduled thread pool, the striped
-// locks, the MIMD backend's full task set on the shared flight database,
-// and concurrent trace-sink emission. They also assert functional
-// results, so under a plain build they still verify that contended
-// execution loses no updates.
+// MIMD execution path: the dynamically scheduled thread pool, the MIMD
+// backend's full task set on the shared flight database (which takes no
+// lock on task data), and concurrent trace-sink emission. They also
+// assert functional results, so under a plain build they still verify
+// that contended execution loses no updates.
 //
 // Keep iteration counts modest: TSan multiplies runtime ~5-15x and the
 // TSan CI job runs this file on every push.
@@ -21,6 +21,7 @@
 #include "src/airfield/radar.hpp"
 #include "src/airfield/setup.hpp"
 #include "src/airfield/towers.hpp"
+#include "src/atm/extended/sporadic.hpp"
 #include "src/atm/mimd_backend.hpp"
 #include "src/atm/reference_backend.hpp"
 #include "src/atm/scenarios.hpp"
@@ -40,7 +41,7 @@ TEST(TsanStress, AnnotatedMutexGuardsPlainCounter) {
   // The same primitive the static layer proves (ATM_GUARDED_BY +
   // sync::MutexLock, see tests/static/) hammered dynamically, so the
   // compile-time and run-time race detectors cover one contract. Mixes
-  // scoped locks with the manual try_lock/lock fallback with_lock uses.
+  // scoped locks with a manual try_lock-then-lock fallback.
   struct Guarded {
     sync::Mutex mu;
     long long value ATM_GUARDED_BY(mu) = 0;
@@ -53,7 +54,7 @@ TEST(TsanStress, AnnotatedMutexGuardsPlainCounter) {
     threads.emplace_back([&counter, t] {
       for (int i = 0; i < kAddsPerThread; ++i) {
         if ((i + t) % 3 == 0) {
-          // StripedLocks::with_lock's contended shape.
+          // Contend with try_lock, then fall back to a blocking lock.
           if (!counter.mu.try_lock()) counter.mu.lock();
           ++counter.value;
           counter.mu.unlock();
@@ -111,29 +112,6 @@ TEST(TsanStress, PoolConcurrentCallersAreSerializedSafely) {
   EXPECT_EQ(total.load(), 2LL * kRoundsPerCaller * kItems);
 }
 
-// --- mimd::StripedLocks -----------------------------------------------------
-
-TEST(TsanStress, StripedLocksProtectPlainCounters) {
-  // Non-atomic counters mutated by every worker: correctness (and TSan
-  // cleanliness) depends entirely on the stripe discipline.
-  mimd::ThreadPool pool(4);
-  mimd::StripedLocks locks(8);  // few stripes -> real contention
-  std::vector<long long> counters(64, 0);
-  constexpr int kRounds = 20;
-  constexpr std::size_t kItems = 8192;
-  for (int round = 0; round < kRounds; ++round) {
-    pool.parallel_for(0, kItems, 1, [&](std::size_t i) {
-      const std::size_t slot = i % counters.size();
-      locks.with_lock(slot, [&] { ++counters[slot]; });
-    });
-  }
-  long long sum = 0;
-  for (const long long c : counters) sum += c;
-  EXPECT_EQ(sum, static_cast<long long>(kRounds) * kItems);
-  EXPECT_EQ(locks.take_counts().acquisitions,
-            static_cast<std::uint64_t>(kRounds) * kItems);
-}
-
 // --- The shared flight database (MIMD backend) ------------------------------
 
 class TsanStressMimdTasks
@@ -141,13 +119,13 @@ class TsanStressMimdTasks
 
 TEST_P(TsanStressMimdTasks, FullTaskSetOnSharedDb) {
   // The shared-database execution of [13]: every task's workers read and
-  // write one airfield::FlightDb. Task 1, multi-radar Task 1 and Tasks
-  // 2+3 take no lock — each write has one owner, and Task 1's coverage
-  // counts are relaxed atomic adds — while display and sporadic take the
-  // striped locks. Drive the whole task set for a few periods under both
-  // broadphase modes and cross-check every result against the sequential
-  // reference on the same inputs, so TSan noise can never hide a lost
-  // update.
+  // write one airfield::FlightDb, and no task takes a lock — each write
+  // has one owner, and Task 1's coverage counts and the display's handoff
+  // count are relaxed atomic adds. Drive the whole task set for a few
+  // periods under both broadphase modes and cross-check every result
+  // against the sequential reference on the same inputs, so TSan noise
+  // can never hide a lost update. Display runs before and after the Task
+  // 1 periods, so its second run counts handoffs.
   tasks::MimdBackend backend(mimd::paper_xeon_spec(), /*pool_workers=*/4);
   tasks::ReferenceBackend oracle;
   const airfield::FlightDb initial = airfield::make_airfield(600, 0xA1);
@@ -162,6 +140,7 @@ TEST_P(TsanStressMimdTasks, FullTaskSetOnSharedDb) {
   tasks::Task23Params t23;
   t23.broadphase = GetParam();
 
+  EXPECT_EQ(backend.run_display({}).stats, oracle.run_display({}).stats);
   core::Rng rng(0xBEEF);
   for (int period = 0; period < 4; ++period) {
     airfield::RadarFrame frame =
@@ -181,7 +160,18 @@ TEST_P(TsanStressMimdTasks, FullTaskSetOnSharedDb) {
   const tasks::Task23Result r23 = backend.run_task23(t23);
   EXPECT_EQ(r23.stats.aircraft, initial.size());
   EXPECT_EQ(r23.stats, oracle.run_task23(t23).stats);
-  EXPECT_EQ(backend.run_display({}).stats, oracle.run_display({}).stats);
+  const tasks::DisplayResult display = backend.run_display({});
+  EXPECT_GT(display.stats.handoffs, 0u);
+  EXPECT_EQ(display.stats, oracle.run_display({}).stats);
+  core::Rng query_rng(0xD15);
+  const std::vector<tasks::Query> queries = tasks::extended::make_query_batch(
+      backend.state(), query_rng, {.queries_per_batch = 8});
+  const tasks::SporadicResult sporadic = backend.run_sporadic(queries, {});
+  const tasks::SporadicResult oracle_sporadic =
+      oracle.run_sporadic(queries, {});
+  EXPECT_GT(sporadic.stats.hits, 0u);
+  EXPECT_EQ(sporadic.stats, oracle_sporadic.stats);
+  EXPECT_EQ(sporadic.answers, oracle_sporadic.answers);
   EXPECT_EQ(backend.run_terrain({}).stats, oracle.run_terrain({}).stats);
   EXPECT_EQ(backend.run_advisory({}).stats, oracle.run_advisory({}).stats);
 
@@ -197,12 +187,12 @@ TEST_P(TsanStressMimdTasks, FullTaskSetOnSharedDb) {
 }
 
 TEST_P(TsanStressMimdTasks, ShardedTaskSetGathersSnapshotsConcurrently) {
-  // The sector-sharded executive replaces the striped-lock scan with
-  // per-sector snapshot gathers racing against nothing but each other,
-  // then commits through the pool. Drive it under both broadphase modes
-  // with a live trace sink so the per-sector counter emission path runs
-  // too, and cross-check outcomes against the monolithic scan so TSan
-  // noise can never hide a lost update.
+  // The sector-sharded executive runs per-sector snapshot gathers racing
+  // against nothing but each other, then commits through the pool. Drive
+  // it under both broadphase modes with a live trace sink so the
+  // per-sector counter emission path runs too, and cross-check outcomes
+  // against the monolithic scan so TSan noise can never hide a lost
+  // update.
   tasks::MimdBackend sharded(mimd::paper_xeon_spec(), /*pool_workers=*/4);
   tasks::MimdBackend mono(mimd::paper_xeon_spec(), /*pool_workers=*/4);
   const airfield::FlightDb initial = airfield::make_airfield(600, 0xA1);
