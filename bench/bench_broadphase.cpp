@@ -35,22 +35,6 @@ struct TaskRun {
   atm::tasks::Task23Stats task23;
 };
 
-atm::tasks::Task1Stats outcome_task1(atm::tasks::Task1Stats s) {
-  s.box_tests = 0;
-  s.kernel = -1;
-  s.lanes_masked = 0;
-  return s;
-}
-
-atm::tasks::Task23Stats outcome_task23(atm::tasks::Task23Stats s) {
-  s.pair_tests = 0;
-  s.pair_candidates = 0;
-  s.rescans = 0;
-  s.kernel = -1;
-  s.lanes_masked = 0;
-  return s;
-}
-
 /// Run kTask1Periods consecutive Task 1 periods from a fresh airfield and
 /// return the summed host wall time. Radar noise is seeded identically
 /// for every call, so brute and grid see bit-identical frames.
@@ -152,8 +136,7 @@ int main(int argc, char** argv) {
     const TaskRun t1_grid =
         run_task1<tasks::ReferenceBackend>(scenario, n,
                                            BroadphaseMode::kGrid);
-    outcomes_match &=
-        outcome_task1(t1_brute.task1) == outcome_task1(t1_grid.task1);
+    outcomes_match &= t1_brute.task1.outcome() == t1_grid.task1.outcome();
     add_json("task1", "reference", n, "brute", t1_brute,
              bench::outcome_digest(t1_brute.task1));
     add_json("task1", "reference", n, "grid", t1_grid,
@@ -169,8 +152,7 @@ int main(int argc, char** argv) {
     const TaskRun t23_grid =
         run_task23<tasks::ReferenceBackend>(scenario, n,
                                             BroadphaseMode::kGrid);
-    outcomes_match &=
-        outcome_task23(t23_brute.task23) == outcome_task23(t23_grid.task23);
+    outcomes_match &= t23_brute.task23.outcome() == t23_grid.task23.outcome();
     add_json("task23", "reference", n, "brute", t23_brute,
              bench::outcome_digest(t23_brute.task23));
     add_json("task23", "reference", n, "grid", t23_grid,
@@ -194,8 +176,7 @@ int main(int argc, char** argv) {
                                        BroadphaseMode::kBruteForce);
     const TaskRun m23_grid =
         run_task23<tasks::MimdBackend>(scenario, n, BroadphaseMode::kGrid);
-    outcomes_match &=
-        outcome_task23(m23_brute.task23) == outcome_task23(m23_grid.task23);
+    outcomes_match &= m23_brute.task23.outcome() == m23_grid.task23.outcome();
     add_json("task23", "mimd-xeon", n, "brute", m23_brute,
              bench::outcome_digest(m23_brute.task23));
     add_json("task23", "mimd-xeon", n, "grid", m23_grid,

@@ -40,26 +40,6 @@ struct TaskRun {
   atm::tasks::Task23Stats task23;
 };
 
-atm::tasks::Task1Stats outcome_task1(atm::tasks::Task1Stats s) {
-  s.box_tests = 0;
-  s.sectors = 0;
-  s.halo_candidates = 0;
-  s.kernel = -1;
-  s.lanes_masked = 0;
-  return s;
-}
-
-atm::tasks::Task23Stats outcome_task23(atm::tasks::Task23Stats s) {
-  s.pair_tests = 0;
-  s.pair_candidates = 0;
-  s.rescans = 0;
-  s.sectors = 0;
-  s.halo_candidates = 0;
-  s.kernel = -1;
-  s.lanes_masked = 0;
-  return s;
-}
-
 atm::tasks::PipelineConfig sharded_config(
     const atm::tasks::Scenario& scenario, int sectors_per_axis) {
   atm::tasks::Scenario s = scenario;
@@ -169,12 +149,12 @@ int main(int argc, char** argv) {
       add_json("task23", "mimd-xeon", t23_mimd.back(),
                bench::outcome_digest(t23_mimd.back().task23));
       if (axis > 0) {
-        outcomes_match &= outcome_task1(t1_ref.front().task1) ==
-                          outcome_task1(t1_ref.back().task1);
-        outcomes_match &= outcome_task23(t23_ref.front().task23) ==
-                          outcome_task23(t23_ref.back().task23);
-        outcomes_match &= outcome_task23(t23_mimd.front().task23) ==
-                          outcome_task23(t23_mimd.back().task23);
+        outcomes_match &= t1_ref.front().task1.outcome() ==
+                          t1_ref.back().task1.outcome();
+        outcomes_match &= t23_ref.front().task23.outcome() ==
+                          t23_ref.back().task23.outcome();
+        outcomes_match &= t23_mimd.front().task23.outcome() ==
+                          t23_mimd.back().task23.outcome();
       }
     }
 

@@ -70,6 +70,17 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
+/// FNV-1a over "<tag>|<field>|<field>|...", the fields in for_each order.
+template <typename Outcome>
+std::string digest_fields(std::string_view tag, const Outcome& outcome) {
+  std::string text(tag);
+  for_each(outcome, [&](std::string_view, auto value) {
+    text += '|';
+    text += std::to_string(value);
+  });
+  return hex64(fnv1a(text));
+}
+
 void append_json_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
@@ -114,39 +125,15 @@ std::string json_double(double v) {
 }  // namespace
 
 std::string outcome_digest(const tasks::Task1Stats& stats) {
-  char buf[192];
-  std::snprintf(buf, sizeof buf, "task1|%llu|%llu|%llu|%llu|%llu|%llu|%d",
-                static_cast<unsigned long long>(stats.radars),
-                static_cast<unsigned long long>(stats.matched),
-                static_cast<unsigned long long>(stats.discarded_radars),
-                static_cast<unsigned long long>(stats.unmatched_radars),
-                static_cast<unsigned long long>(stats.ambiguous_aircraft),
-                static_cast<unsigned long long>(stats.updated_aircraft),
-                stats.passes);
-  return hex64(fnv1a(buf));
+  return digest_fields("task1", stats.outcome());
 }
 
 std::string outcome_digest(const tasks::Task23Stats& stats) {
-  char buf[192];
-  std::snprintf(buf, sizeof buf, "task23|%llu|%llu|%llu|%llu|%llu",
-                static_cast<unsigned long long>(stats.aircraft),
-                static_cast<unsigned long long>(stats.conflicts),
-                static_cast<unsigned long long>(stats.critical),
-                static_cast<unsigned long long>(stats.resolved),
-                static_cast<unsigned long long>(stats.unresolved));
-  return hex64(fnv1a(buf));
+  return digest_fields("task23", stats.outcome());
 }
 
 std::string outcome_digest(const tasks::MultiRadarStats& stats) {
-  char buf[192];
-  std::snprintf(buf, sizeof buf, "multi_task1|%llu|%llu|%llu|%llu|%llu|%d",
-                static_cast<unsigned long long>(stats.returns),
-                static_cast<unsigned long long>(stats.matched_aircraft),
-                static_cast<unsigned long long>(stats.redundant_returns),
-                static_cast<unsigned long long>(stats.discarded_returns),
-                static_cast<unsigned long long>(stats.unmatched_returns),
-                stats.passes);
-  return hex64(fnv1a(buf));
+  return digest_fields("multi_task1", stats.outcome());
 }
 
 void JsonReport::param_raw(const std::string& key, std::string encoded) {

@@ -60,12 +60,12 @@ namespace atm::bench {
 /// arguments are left for the bench to interpret.
 [[nodiscard]] std::string json_path_from_args(int argc, char** argv);
 
-/// Hex FNV-1a digest over a task run's *outcome* counters (the work
-/// counters — box_tests, pair tests/candidates, rescans, sector and
-/// kernel bookkeeping — are excluded, matching the equivalence tests'
-/// outcome_only strip). Two runs that agree on every outcome produce the
-/// same digest regardless of broadphase, sharding, or kernel choice, so
-/// a JSON report consumer can cross-check equivalence without rerunning.
+/// Hex FNV-1a digest over a task run's outcome() counters, folded in
+/// for_each order (the *Work fields are not part of it, just as the
+/// equivalence tests compare outcome()). Two runs that agree on every
+/// outcome produce the same digest regardless of broadphase, sharding, or
+/// kernel choice, so a JSON report consumer can cross-check equivalence
+/// without rerunning.
 [[nodiscard]] std::string outcome_digest(const tasks::Task1Stats& stats);
 [[nodiscard]] std::string outcome_digest(const tasks::Task23Stats& stats);
 [[nodiscard]] std::string outcome_digest(const tasks::MultiRadarStats& stats);

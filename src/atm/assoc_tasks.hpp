@@ -38,6 +38,7 @@
 //   * one final parallel step commits resolved paths.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -51,9 +52,11 @@
 #include "src/atm/extended/advisory.hpp"
 #include "src/atm/extended/display.hpp"
 #include "src/atm/extended/ext_types.hpp"
+#include "src/atm/extended/multiradar.hpp"
 #include "src/atm/extended/sporadic.hpp"
 #include "src/atm/extended/terrain_task.hpp"
 #include "src/atm/reference/collision.hpp"
+#include "src/atm/reference/correlate.hpp"
 #include "src/atm/task_types.hpp"
 #include "src/core/vec2.hpp"
 
@@ -112,8 +115,8 @@ Task1Stats assoc_task1(M& m, airfield::FlightDb& db,
   using airfield::MatchState;
 
   const std::size_t n = db.size();
-  Task1Stats stats;
-  stats.radars = frame.size();
+  Task1Work work;
+  int passes = 0;
 
   db.reset_correlation_state();
   frame.reset_matches();
@@ -134,15 +137,11 @@ Task1Stats assoc_task1(M& m, airfield::FlightDb& db,
 
   const int total_passes = 1 + params.retries;
   for (int pass = 0; pass < total_passes; ++pass) {
-    bool any_active = false;
-    for (const std::int32_t rm : frame.rmatch_with) {
-      if (rm == kNone) {
-        any_active = true;
-        break;
-      }
+    if (std::none_of(frame.rmatch_with.begin(), frame.rmatch_with.end(),
+                     [](std::int32_t rm) { return rm == kNone; })) {
+      break;
     }
-    if (!any_active) break;
-    ++stats.passes;
+    ++passes;
     const double half = params.box_half_nm * static_cast<double>(1 << pass);
 
     m.parallel_all([&](std::size_t i) { hits[i] = 0; }, w.reset_flags);
@@ -161,7 +160,7 @@ Task1Stats assoc_task1(M& m, airfield::FlightDb& db,
                    std::fabs(ey[a] - ry) < half;
           },
           mask, w.box_search);
-      stats.box_tests += n;  // every PE compares
+      work.box_tests += n;  // every PE compares
       const std::size_t cnt = m.count(mask);
       if (cnt == 0) continue;
       m.parallel_masked(mask, [&](std::size_t a) { ++hits[a]; },
@@ -211,25 +210,13 @@ Task1Stats assoc_task1(M& m, airfield::FlightDb& db,
             amatch[a] >= 0) {
           db.x[a] = rxa[a];
           db.y[a] = rya[a];
-          ++stats.matched;
-          ++stats.updated_aircraft;
         } else {
           db.x[a] = ex[a];
           db.y[a] = ey[a];
         }
       },
       w.commit_tracking);
-
-  for (const std::int32_t rm : frame.rmatch_with) {
-    if (rm == kNone) ++stats.unmatched_radars;
-    if (rm == kDiscarded) ++stats.discarded_radars;
-  }
-  for (std::size_t a = 0; a < n; ++a) {
-    if (db.rmatch[a] == static_cast<std::int8_t>(MatchState::kAmbiguous)) {
-      ++stats.ambiguous_aircraft;
-    }
-  }
-  return stats;
+  return {reference::task1_outcome(db, frame, passes), work};
 }
 
 /// Tasks 2+3 on an associative machine. Semantics identical to
@@ -507,8 +494,8 @@ MultiRadarStats assoc_multi_task1(M& m, airfield::FlightDb& db,
 
   const std::size_t n = db.size();
   const std::size_t returns = frame.size();
-  MultiRadarStats stats;
-  stats.returns = returns;
+  MultiRadarWork work;
+  int passes = 0;
 
   db.reset_correlation_state();
   frame.base.reset_matches();
@@ -531,15 +518,11 @@ MultiRadarStats assoc_multi_task1(M& m, airfield::FlightDb& db,
 
   const int total_passes = 1 + params.retries;
   for (int pass = 0; pass < total_passes; ++pass) {
-    bool any_active = false;
-    for (const std::int32_t rm : rmw) {
-      if (rm == kNone) {
-        any_active = true;
-        break;
-      }
+    if (std::none_of(rmw.begin(), rmw.end(),
+                     [](std::int32_t rm) { return rm == kNone; })) {
+      break;
     }
-    if (!any_active) break;
-    ++stats.passes;
+    ++passes;
     const double half = params.box_half_nm * static_cast<double>(1 << pass);
 
     // Phase 1: per active return — associative box search.
@@ -556,7 +539,7 @@ MultiRadarStats assoc_multi_task1(M& m, airfield::FlightDb& db,
                    std::fabs(ey[a] - ry) < half;
           },
           mask, w.box_search);
-      stats.box_tests += n;
+      work.box_tests += n;
       const std::size_t cnt = m.count(mask);
       nhits[r] = static_cast<std::int32_t>(cnt);
       if (cnt >= 2) {
@@ -610,20 +593,13 @@ MultiRadarStats assoc_multi_task1(M& m, airfield::FlightDb& db,
           const auto r = static_cast<std::size_t>(amatch[a]);
           db.x[a] = frame.base.rx[r];
           db.y[a] = frame.base.ry[r];
-          ++stats.matched_aircraft;
         } else {
           db.x[a] = ex[a];
           db.y[a] = ey[a];
         }
       },
       w.commit_tracking);
-
-  for (const std::int32_t rm : rmw) {
-    if (rm == kNone) ++stats.unmatched_returns;
-    if (rm == kDiscarded) ++stats.discarded_returns;
-    if (rm == kRedundant) ++stats.redundant_returns;
-  }
-  return stats;
+  return {extended::multi_outcome(db, frame, passes), work};
 }
 
 }  // namespace atm::tasks::assoc

@@ -12,33 +12,6 @@
 
 namespace atm::tasks {
 
-void Backend::emit_task_event(std::string_view task, double modeled_ms,
-                              double measured_ms,
-                              const TaskEventDetail& detail) {
-  obs::TraceEvent ev;
-  ev.kind = obs::EventKind::kTask;
-  ev.name = task;
-  ev.backend = name();
-  ev.cycle = trace_cycle_;
-  ev.period = trace_period_;
-  ev.modeled_ms = modeled_ms;
-  ev.measured_ms = measured_ms;
-  ev.aircraft = aircraft_count();
-  ev.passes = detail.passes;
-  ev.conflicts = detail.conflicts;
-  ev.resolved = detail.resolved;
-  ev.broadphase = detail.broadphase;
-  ev.shard = detail.shard;
-  ev.sectors = detail.sectors;
-  ev.halo_candidates = detail.halo_candidates;
-  ev.box_tests = detail.box_tests;
-  ev.pair_candidates = detail.pair_candidates;
-  ev.pair_tests = detail.pair_tests;
-  ev.kernel = detail.kernel;
-  ev.lanes_masked = detail.lanes_masked;
-  trace_->record(ev);
-}
-
 void Backend::emit_sector_counters(
     std::string_view task, const sharded::ShardTelemetry& telemetry) {
   if (trace_ == nullptr || telemetry.sector_owned.empty()) return;
@@ -62,33 +35,42 @@ void Backend::emit_sector_counters(
 
 namespace {
 
-/// The detail fields the host paths of Task 1 and Tasks 2+3 share.
-template <typename Detail, typename Stats, typename Params>
-Detail host_detail(const Stats& stats, const Params& params) {
-  Detail detail;
-  detail.broadphase = core::spatial::to_string(params.broadphase);
-  detail.shard = core::spatial::to_string(params.shard);
+/// The event fields the host paths of Task 1 and Tasks 2+3 share.
+template <typename Result, typename Params>
+void fill_host_detail(obs::TraceEvent& ev, const Result& result,
+                      const Params& params) {
+  const auto& stats = result.stats;
+  ev.modeled_ms = result.modeled_ms;
+  ev.broadphase = core::spatial::to_string(params.broadphase);
+  ev.shard = core::spatial::to_string(params.shard);
   if (stats.sectors > 0) {
-    detail.sectors = stats.sectors;
-    detail.halo_candidates = static_cast<std::int64_t>(stats.halo_candidates);
+    ev.sectors = stats.sectors;
+    ev.halo_candidates = static_cast<std::int64_t>(stats.halo_candidates);
   }
   if (stats.kernel >= 0) {
-    detail.kernel =
+    ev.kernel =
         core::kern::to_string(static_cast<core::kern::Kernel>(stats.kernel));
-    detail.lanes_masked = static_cast<std::int64_t>(stats.lanes_masked);
+    ev.lanes_masked = static_cast<std::int64_t>(stats.lanes_masked);
   }
-  return detail;
 }
 
 }  // namespace
 
-template <typename Hook, typename DetailOf>
-auto Backend::traced(std::string_view task, Hook&& hook, DetailOf detail_of) {
+template <typename Hook, typename Fill>
+auto Backend::traced(std::string_view task, Hook&& hook, Fill fill) {
   if (trace_ == nullptr) return hook();
   const rt::Stopwatch sw;
   auto result = hook();
-  const TaskEventDetail detail = detail_of(result);
-  emit_task_event(task, result.modeled_ms, sw.elapsed_ms(), detail);
+  obs::TraceEvent ev;
+  ev.kind = obs::EventKind::kTask;
+  ev.name = task;
+  ev.backend = name();
+  ev.cycle = trace_cycle_;
+  ev.period = trace_period_;
+  ev.aircraft = aircraft_count();
+  fill(ev, result);
+  ev.measured_ms = sw.elapsed_ms();
+  trace_->record(ev);
   return result;
 }
 
@@ -97,39 +79,37 @@ Task1Result Backend::run_task1(airfield::RadarFrame& frame,
   check_task1_params(params);
   return traced(
       "task1", [&] { return do_run_task1(frame, params); },
-      [&](const Task1Result& r) {
-        auto detail = host_detail<TaskEventDetail>(r.stats, params);
-        detail.passes = r.stats.passes;
-        detail.box_tests = static_cast<std::int64_t>(r.stats.box_tests);
-        return detail;
+      [&](obs::TraceEvent& ev, const Task1Result& r) {
+        fill_host_detail(ev, r, params);
+        ev.passes = r.stats.passes;
+        ev.box_tests = static_cast<std::int64_t>(r.stats.box_tests);
       });
 }
 
 Task23Result Backend::run_task23(const Task23Params& params) {
   check_task23_params(params);
+  check_motion_finite(state());
   return traced(
       "task23", [&] { return do_run_task23(params); },
-      [&](const Task23Result& r) {
-        auto detail = host_detail<TaskEventDetail>(r.stats, params);
-        detail.conflicts = static_cast<std::int64_t>(r.stats.conflicts);
-        detail.resolved = static_cast<std::int64_t>(r.stats.resolved);
-        detail.pair_candidates =
-            static_cast<std::int64_t>(r.stats.pair_candidates);
-        detail.pair_tests = static_cast<std::int64_t>(r.stats.pair_tests);
-        return detail;
+      [&](obs::TraceEvent& ev, const Task23Result& r) {
+        fill_host_detail(ev, r, params);
+        ev.conflicts = static_cast<std::int64_t>(r.stats.conflicts);
+        ev.resolved = static_cast<std::int64_t>(r.stats.resolved);
+        ev.pair_candidates = static_cast<std::int64_t>(r.stats.pair_candidates);
+        ev.pair_tests = static_cast<std::int64_t>(r.stats.pair_tests);
       });
 }
 
 airfield::RadarFrame Backend::generate_radar(
     core::Rng& rng, const airfield::RadarParams& params,
     double* modeled_ms) {
-  if (trace_ == nullptr) return do_generate_radar(rng, params, modeled_ms);
   double local_ms = 0.0;
   if (modeled_ms == nullptr) modeled_ms = &local_ms;
-  const rt::Stopwatch sw;
-  airfield::RadarFrame frame = do_generate_radar(rng, params, modeled_ms);
-  emit_task_event("radar", *modeled_ms, sw.elapsed_ms(), {});
-  return frame;
+  return traced(
+      "radar", [&] { return do_generate_radar(rng, params, modeled_ms); },
+      [&](obs::TraceEvent& ev, const airfield::RadarFrame&) {
+        ev.modeled_ms = *modeled_ms;
+      });
 }
 
 TerrainResult Backend::run_terrain(const TerrainTaskParams& params) {
@@ -153,11 +133,10 @@ MultiRadarResult Backend::run_multi_task1(airfield::MultiRadarFrame& frame,
   check_task1_params(params);
   return traced(
       "multi_task1", [&] { return do_run_multi_task1(frame, params); },
-      [](const MultiRadarResult& r) {
-        TaskEventDetail detail;
-        detail.passes = r.stats.passes;
-        detail.box_tests = static_cast<std::int64_t>(r.stats.box_tests);
-        return detail;
+      [](obs::TraceEvent& ev, const MultiRadarResult& r) {
+        ev.modeled_ms = r.modeled_ms;
+        ev.passes = r.stats.passes;
+        ev.box_tests = static_cast<std::int64_t>(r.stats.box_tests);
       });
 }
 

@@ -171,35 +171,17 @@ class Backend {
                             const sharded::ShardTelemetry& telemetry);
 
  private:
-  /// Optional outcome/work detail attached to a kTask event. Sentinel
-  /// values (-1, empty) mean "not applicable" and sinks omit them.
-  struct TaskEventDetail {
-    int passes = -1;
-    std::int64_t conflicts = -1;
-    std::int64_t resolved = -1;
-    std::string_view broadphase = {};
-    std::string_view shard = {};
-    int sectors = -1;
-    std::int64_t halo_candidates = -1;
-    std::int64_t box_tests = -1;
-    std::int64_t pair_candidates = -1;
-    std::int64_t pair_tests = -1;
-    std::string_view kernel = {};
-    std::int64_t lanes_masked = -1;
+  /// Records the result's modeled time, the detail every task event has.
+  struct ModeledOnly {
+    void operator()(obs::TraceEvent& ev, const auto& result) const {
+      ev.modeled_ms = result.modeled_ms;
+    }
   };
 
-  /// Shared helper: emit one kTask event (only called with a sink).
-  void emit_task_event(std::string_view task, double modeled_ms,
-                       double measured_ms, const TaskEventDetail& detail);
-
-  struct NoDetail {
-    TaskEventDetail operator()(const auto& /*result*/) const { return {}; }
-  };
-
-  /// Run a task hook; with a sink attached, time it and emit its task
-  /// event with the detail `detail_of(result)`.
-  template <typename Hook, typename DetailOf = NoDetail>
-  auto traced(std::string_view task, Hook&& hook, DetailOf detail_of = {});
+  /// Run a task hook; with a sink attached, time it and record its kTask
+  /// event, which `fill(event, result)` completes.
+  template <typename Hook, typename Fill = ModeledOnly>
+  auto traced(std::string_view task, Hook&& hook, Fill fill = {});
 
   std::shared_ptr<const airfield::TerrainMap> terrain_;
   obs::TraceSink* trace_ = nullptr;

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <limits>
 
+#include "src/atm/extended/multiradar.hpp"
+#include "src/atm/reference/correlate.hpp"
+
 namespace atm::tasks {
 
-using airfield::kDiscarded;
 using airfield::kNone;
-using airfield::MatchState;
 
 CudaBackend::CudaBackend(simt::DeviceSpec spec, int threads_per_block)
     : device_(std::move(spec)), threads_per_block_(threads_per_block) {}
@@ -212,7 +213,8 @@ Task1Result CudaBackend::do_run_task1(airfield::RadarFrame& frame,
           .modeled_ms;
 
   export_radar_matches(frame);
-  result.stats = collect_task1_stats(frame, passes);
+  result.stats = {reference::task1_outcome(db_, frame, passes),
+                  {.box_tests = counters_[cuda::kBoxTests]}};
   return result;
 }
 
@@ -221,26 +223,15 @@ void CudaBackend::export_radar_matches(airfield::RadarFrame& frame) const {
             frame.rmatch_with.begin());
 }
 
-Task1Stats CudaBackend::collect_task1_stats(
-    const airfield::RadarFrame& frame, int passes) const {
-  Task1Stats stats;
-  stats.radars = frame.size();
-  stats.passes = passes;
-  stats.box_tests = counters_[cuda::kBoxTests];
-  for (const std::int32_t m : radar_match_) {
-    if (m == kNone) ++stats.unmatched_radars;
-    if (m == kDiscarded) ++stats.discarded_radars;
-  }
-  for (std::size_t a = 0; a < db_.size(); ++a) {
-    if (db_.rmatch[a] == static_cast<std::int8_t>(MatchState::kAmbiguous)) {
-      ++stats.ambiguous_aircraft;
-    }
-    if (db_.rmatch[a] == static_cast<std::int8_t>(MatchState::kMatched) &&
-        amatch_[a] >= 0) {
-      ++stats.matched;
-      ++stats.updated_aircraft;
-    }
-  }
+Task23Stats CudaBackend::task23_stats() const {
+  Task23Stats stats;
+  stats.aircraft = db_.size();
+  stats.pair_tests = counters_[cuda::kPairTests];
+  stats.rescans = counters_[cuda::kRescans];
+  stats.conflicts = counters_[cuda::kConflicts];
+  stats.critical = counters_[cuda::kCritical];
+  stats.resolved = counters_[cuda::kResolved];
+  stats.unresolved = counters_[cuda::kUnresolved];
   return stats;
 }
 
@@ -269,18 +260,13 @@ Task23Result CudaBackend::do_run_task23(const Task23Params& params) {
                   })
           .modeled_ms;
 
-  result.stats.aircraft = n;
-  result.stats.pair_tests = counters_[cuda::kPairTests];
-  result.stats.rescans = counters_[cuda::kRescans];
-  result.stats.conflicts = counters_[cuda::kConflicts];
-  result.stats.critical = counters_[cuda::kCritical];
-  result.stats.resolved = counters_[cuda::kResolved];
-  result.stats.unresolved = counters_[cuda::kUnresolved];
+  result.stats = task23_stats();
   return result;
 }
 
 Task23Result CudaBackend::run_task23_split(const Task23Params& params) {
   check_task23_params(params);
+  check_motion_finite(db_);
   const std::size_t n = db_.size();
   Task23Result result;
   counters_.assign(cuda::kCounterSlots, 0);
@@ -318,20 +304,15 @@ Task23Result CudaBackend::run_task23_split(const Task23Params& params) {
                   })
           .modeled_ms;
 
-  result.stats.aircraft = n;
-  result.stats.pair_tests = counters_[cuda::kPairTests];
-  result.stats.rescans = counters_[cuda::kRescans];
-  result.stats.conflicts = counters_[cuda::kConflicts];
-  result.stats.critical = counters_[cuda::kCritical];
-  result.stats.resolved = counters_[cuda::kResolved];
-  result.stats.unresolved = counters_[cuda::kUnresolved];
+  result.stats = task23_stats();
   return result;
 }
 
 Task23Result CudaBackend::run_task23_pairgrid(const Task23Params& params) {
+  check_task23_params(params);
+  check_motion_finite(db_);
   const std::size_t n = db_.size();
   Task23Result result;
-  result.stats.aircraft = n;
   counters_.assign(cuda::kCounterSlots, 0);
   if (n == 0) return result;
 
@@ -391,12 +372,7 @@ Task23Result CudaBackend::run_task23_pairgrid(const Task23Params& params) {
                   })
           .modeled_ms;
 
-  result.stats.pair_tests = counters_[cuda::kPairTests];
-  result.stats.rescans = counters_[cuda::kRescans];
-  result.stats.conflicts = counters_[cuda::kConflicts];
-  result.stats.critical = counters_[cuda::kCritical];
-  result.stats.resolved = counters_[cuda::kResolved];
-  result.stats.unresolved = counters_[cuda::kUnresolved];
+  result.stats = task23_stats();
   return result;
 }
 
@@ -541,7 +517,7 @@ MultiRadarResult CudaBackend::do_run_multi_task1(
   const std::size_t n = db_.size();
   const std::size_t returns = frame.size();
   MultiRadarResult result;
-  result.stats.returns = returns;
+  int passes = 0;
   counters_.assign(cuda::kCounterSlots, 0);
 
   // Upload the multi-return frame.
@@ -581,7 +557,7 @@ MultiRadarResult CudaBackend::do_run_multi_task1(
                     [](std::int32_t m) { return m == kNone; });
     result.modeled_ms += device_.transfer(sizeof(std::uint64_t)).modeled_ms;
     if (!any_active) break;
-    ++result.stats.passes;
+    ++passes;
     const double half = params.box_half_nm * static_cast<double>(1 << pass);
 
     result.modeled_ms +=
@@ -618,18 +594,8 @@ MultiRadarResult CudaBackend::do_run_multi_task1(
 
   std::copy(multi_match_.begin(), multi_match_.end(),
             frame.base.rmatch_with.begin());
-  result.stats.box_tests = counters_[cuda::kBoxTests];
-  for (const std::int32_t m : multi_match_) {
-    if (m == kNone) ++result.stats.unmatched_returns;
-    if (m == kDiscarded) ++result.stats.discarded_returns;
-    if (m == airfield::kRedundant) ++result.stats.redundant_returns;
-  }
-  for (std::size_t a = 0; a < n; ++a) {
-    if (db_.rmatch[a] == static_cast<std::int8_t>(MatchState::kMatched) &&
-        amatch_[a] >= 0) {
-      ++result.stats.matched_aircraft;
-    }
-  }
+  result.stats = {extended::multi_outcome(db_, frame, passes),
+                  {.box_tests = counters_[cuda::kBoxTests]}};
   return result;
 }
 

@@ -77,8 +77,8 @@ class CudaBackend final : public Backend {
   cuda::DroneView drone_view();
   cuda::RadarView radar_view();
   void resize_scratch(std::size_t n);
-  Task1Stats collect_task1_stats(const airfield::RadarFrame& frame,
-                                 int passes) const;
+  /// The counters of the Tasks 2+3 run that just filled counters_.
+  [[nodiscard]] Task23Stats task23_stats() const;
   /// Copy the working radar arrays out to `frame.rmatch_with`.
   void export_radar_matches(airfield::RadarFrame& frame) const;
   /// Bytes of one radar frame on the wire (rx, ry, rMatchWith).

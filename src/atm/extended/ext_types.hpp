@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/atm/task_types.hpp"
 #include "src/core/check.hpp"
 #include "src/core/units.hpp"
 
@@ -159,14 +160,50 @@ struct SporadicResult {
 
 // --- Multi-tower radar correlation ------------------------------------------
 
-struct MultiRadarStats {
+/// What one multi-tower Task 1 run concluded; `==` on it is the one
+/// definition of "same outcome". extended::multi_outcome computes it.
+struct MultiRadarOutcome {
   std::uint64_t returns = 0;           ///< Frame size.
   std::uint64_t matched_aircraft = 0;  ///< Aircraft that took a return.
   std::uint64_t redundant_returns = 0; ///< Covered by a better return.
   std::uint64_t discarded_returns = 0; ///< Ambiguous (covered 2+ aircraft).
   std::uint64_t unmatched_returns = 0;
   int passes = 0;
-  std::uint64_t box_tests = 0;  ///< Work (architecture-dependent).
+
+  friend bool operator==(const MultiRadarOutcome&,
+                         const MultiRadarOutcome&) = default;
+};
+
+/// Calls f(name, value) on every MultiRadarOutcome field in declaration
+/// order.
+template <typename F>
+void for_each(const MultiRadarOutcome& outcome, F&& f) {
+  const auto& [returns, matched_aircraft, redundant_returns,
+               discarded_returns, unmatched_returns, passes] = outcome;
+  f("returns", returns);
+  f("matched_aircraft", matched_aircraft);
+  f("redundant_returns", redundant_returns);
+  f("discarded_returns", discarded_returns);
+  f("unmatched_returns", unmatched_returns);
+  f("passes", passes);
+}
+
+inline std::ostream& operator<<(std::ostream& os,
+                                const MultiRadarOutcome& o) {
+  return print_outcome(os, o);
+}
+
+/// The work one multi-tower Task 1 run did (architecture-dependent).
+struct MultiRadarWork {
+  std::uint64_t box_tests = 0;
+
+  friend bool operator==(const MultiRadarWork&,
+                         const MultiRadarWork&) = default;
+};
+
+/// One multi-tower Task 1 run's counters: its outcome and its work.
+struct MultiRadarStats : MultiRadarOutcome, MultiRadarWork {
+  [[nodiscard]] const MultiRadarOutcome& outcome() const { return *this; }
 
   friend bool operator==(const MultiRadarStats&,
                          const MultiRadarStats&) = default;

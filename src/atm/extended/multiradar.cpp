@@ -4,12 +4,29 @@
 #include <cmath>
 #include <limits>
 
+#include "src/atm/reference/correlate.hpp"
+
 namespace atm::tasks::extended {
 
 using airfield::kDiscarded;
 using airfield::kNone;
 using airfield::kRedundant;
 using airfield::MatchState;
+
+MultiRadarOutcome multi_outcome(const airfield::FlightDb& db,
+                                const airfield::MultiRadarFrame& frame,
+                                int passes) {
+  // The base frame's Task 1 tally counts everything but redundancy.
+  const Task1Outcome base = reference::task1_outcome(db, frame.base, passes);
+  const auto& rmw = frame.base.rmatch_with;
+  return {.returns = base.radars,
+          .matched_aircraft = base.matched,
+          .redundant_returns = static_cast<std::uint64_t>(
+              std::count(rmw.begin(), rmw.end(), kRedundant)),
+          .discarded_returns = base.discarded_radars,
+          .unmatched_returns = base.unmatched_radars,
+          .passes = passes};
+}
 
 MultiRadarStats correlate_multi(airfield::FlightDb& db,
                                 airfield::MultiRadarFrame& frame,
@@ -18,8 +35,8 @@ MultiRadarStats correlate_multi(airfield::FlightDb& db,
   check_task1_params(params);
   const std::size_t n = db.size();
   const std::size_t returns = frame.size();
-  MultiRadarStats stats;
-  stats.returns = returns;
+  MultiRadarWork work;
+  int passes = 0;
 
   db.reset_correlation_state();
   frame.base.reset_matches();
@@ -44,7 +61,7 @@ MultiRadarStats correlate_multi(airfield::FlightDb& db,
     const bool any_active = std::any_of(
         rmw.begin(), rmw.end(), [](std::int32_t m) { return m == kNone; });
     if (!any_active) break;
-    ++stats.passes;
+    ++passes;
     const double half = params.box_half_nm * static_cast<double>(1 << pass);
 
     // Phase 1 (return-major): coverage counts. A return covering two or
@@ -58,7 +75,7 @@ MultiRadarStats correlate_multi(airfield::FlightDb& db,
             static_cast<std::int8_t>(MatchState::kUnmatched)) {
           continue;
         }
-        ++stats.box_tests;
+        ++work.box_tests;
         if (std::fabs(scratch.ex[a] - rx[r]) < half &&
             std::fabs(scratch.ey[a] - ry[r]) < half) {
           ++scratch.nhits[r];
@@ -122,18 +139,12 @@ MultiRadarStats correlate_multi(airfield::FlightDb& db,
       const auto r = static_cast<std::size_t>(scratch.amatch[a]);
       db.x[a] = rx[r];
       db.y[a] = ry[r];
-      ++stats.matched_aircraft;
     } else {
       db.x[a] = scratch.ex[a];
       db.y[a] = scratch.ey[a];
     }
   }
-  for (const std::int32_t m : rmw) {
-    if (m == kNone) ++stats.unmatched_returns;
-    if (m == kDiscarded) ++stats.discarded_returns;
-    if (m == kRedundant) ++stats.redundant_returns;
-  }
-  return stats;
+  return {multi_outcome(db, frame, passes), work};
 }
 
 MultiRadarStats correlate_multi(airfield::FlightDb& db,

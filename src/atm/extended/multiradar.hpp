@@ -36,6 +36,14 @@ struct MultiRadarScratch {
   std::vector<double> best_d2;       ///< Winning squared distance.
 };
 
+/// The multi-tower outcome, read off the final correlation state: the one
+/// tally every multi-radar path reports, after `passes` passes.
+/// `matched_aircraft` counts the kMatched aircraft: every path commits a
+/// return's position exactly to those.
+MultiRadarOutcome multi_outcome(const airfield::FlightDb& db,
+                                const airfield::MultiRadarFrame& frame,
+                                int passes);
+
 /// Reference (sequential) multi-return correlation and tracking.
 MultiRadarStats correlate_multi(airfield::FlightDb& db,
                                 airfield::MultiRadarFrame& frame,

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "src/atm/extended/display.hpp"
+#include "src/atm/extended/multiradar.hpp"
 #include "src/atm/extended/sporadic.hpp"
 #include "src/atm/extended/terrain_task.hpp"
 #include "src/core/kern/kernels.hpp"
@@ -223,7 +224,8 @@ MultiRadarResult MimdBackend::do_run_multi_task1(
   const std::size_t n = db_.size();
   const std::size_t returns = frame.size();
   MultiRadarResult result;
-  result.stats.returns = returns;
+  MultiRadarWork radar_work;
+  int passes = 0;
   const core::kern::Kernel kernel = core::kern::resolve(params.kernel);
   reference::Task1Scratch& t1 = shard_scratch_.task1;
 
@@ -241,7 +243,7 @@ MultiRadarResult MimdBackend::do_run_multi_task1(
     const auto active =
         static_cast<std::uint64_t>(std::count(rmw.begin(), rmw.end(), kNone));
     if (active == 0) break;
-    ++result.stats.passes;
+    ++passes;
     const double half = params.box_half_nm * static_cast<double>(1 << pass);
 
     // Phase 1 (return-major): a batch box kernel per active return over
@@ -261,7 +263,7 @@ MultiRadarResult MimdBackend::do_run_multi_task1(
       if (t1.nhits[r] >= 2) rmw[r] = kDiscarded;
     });
     ++work.parallel_regions;
-    result.stats.box_tests += active * eligible_count;
+    radar_work.box_tests += active * eligible_count;
 
     // Phase 2: each eligible aircraft's closest single-hit return, found
     // in one serial pass over the returns in ascending order; the strict
@@ -304,15 +306,10 @@ MultiRadarResult MimdBackend::do_run_multi_task1(
     ++work.parallel_regions;
   }
 
-  result.stats.matched_aircraft =
-      sharded::commit_tracks(db_, frame.base, pool_, t1);
+  sharded::commit_tracks(db_, frame.base, pool_, t1);
   ++work.parallel_regions;
 
-  for (const std::int32_t m : rmw) {
-    if (m == kNone) ++result.stats.unmatched_returns;
-    if (m == kDiscarded) ++result.stats.discarded_returns;
-    if (m == airfield::kRedundant) ++result.stats.redundant_returns;
-  }
+  result.stats = {extended::multi_outcome(db_, frame, passes), radar_work};
   // [13] takes one write lock per winner it commits.
   result.modeled_ms =
       model_work(work, work.inner_ops + result.stats.matched_aircraft);

@@ -169,6 +169,7 @@ Task23Stats detect_and_resolve(airfield::FlightDb& db,
   const core::kern::Kernel kernel = core::kern::resolve(params.kernel);
   stats.kernel = static_cast<int>(kernel);
   check_task23_params(params);
+  check_motion_finite(db);
 
   db.reset_collision_state();
   std::vector<std::uint8_t> resolved_flag(n, 0);

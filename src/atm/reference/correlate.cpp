@@ -23,15 +23,35 @@ void Task1Scratch::resize(std::size_t aircraft, std::size_t radars) {
   hits.resize(aircraft);
 }
 
+Task1Outcome task1_outcome(const airfield::FlightDb& db,
+                           const airfield::RadarFrame& frame, int passes) {
+  const auto aircraft = [&](MatchState state) {
+    return static_cast<std::uint64_t>(std::count(
+        db.rmatch.begin(), db.rmatch.end(), static_cast<std::int8_t>(state)));
+  };
+  const auto radars = [&](std::int32_t match) {
+    return static_cast<std::uint64_t>(std::count(
+        frame.rmatch_with.begin(), frame.rmatch_with.end(), match));
+  };
+  const std::uint64_t matched = aircraft(MatchState::kMatched);
+  return {.radars = frame.size(),
+          .matched = matched,
+          .discarded_radars = radars(kDiscarded),
+          .unmatched_radars = radars(kNone),
+          .ambiguous_aircraft = aircraft(MatchState::kAmbiguous),
+          .updated_aircraft = matched,
+          .passes = passes};
+}
+
 Task1Stats correlate_and_track(airfield::FlightDb& db,
                                airfield::RadarFrame& frame,
                                Task1Scratch& scratch,
                                const Task1Params& params) {
   const std::size_t n = db.size();
-  Task1Stats stats;
-  stats.radars = frame.size();
+  Task1Work work;
+  int passes = 0;
   const core::kern::Kernel kernel = core::kern::resolve(params.kernel);
-  stats.kernel = static_cast<int>(kernel);
+  work.kernel = static_cast<int>(kernel);
   check_task1_params(params);
 
   scratch.resize(n, frame.size());
@@ -58,7 +78,7 @@ Task1Stats correlate_and_track(airfield::FlightDb& db,
                                                           << " prev="
                                                           << prev_half);
     prev_half = half;
-    ++stats.passes;
+    ++passes;
 
     std::fill(scratch.nhits.begin(), scratch.nhits.end(), 0);
     std::fill(scratch.hit_id.begin(), scratch.hit_id.end(), kNone);
@@ -97,20 +117,20 @@ Task1Stats correlate_and_track(airfield::FlightDb& db,
             frame.ry[r] + half, [&](std::size_t a) {
               scratch.cand.push_back(static_cast<std::int32_t>(a));
             });
-        stats.box_tests += scratch.cand.size();
+        work.box_tests += scratch.cand.size();
         hit_count = core::kern::box_test_batch_indexed(
             kernel, scratch.ex.data(), scratch.ey.data(),
             scratch.cand.data(), scratch.cand.size(), frame.rx[r],
-            frame.ry[r], half, scratch.hits.data(), &stats.lanes_masked);
+            frame.ry[r], half, scratch.hits.data(), &work.lanes_masked);
       } else {
         // Brute force tests exactly the eligible aircraft (the kernel
         // masks the rest off at emission), so the work counter is the
         // eligible count — identical to the pre-kernel per-test tally.
-        stats.box_tests += eligible_count;
+        work.box_tests += eligible_count;
         hit_count = core::kern::box_test_batch(
             kernel, scratch.ex.data(), scratch.ey.data(), n,
             scratch.eligible.data(), frame.rx[r], frame.ry[r], half,
-            scratch.hits.data(), &stats.lanes_masked);
+            scratch.hits.data(), &work.lanes_masked);
       }
       for (std::size_t k = 0; k < hit_count; ++k) {
         const std::int32_t a = scratch.hits[k];
@@ -120,7 +140,7 @@ Task1Stats correlate_and_track(airfield::FlightDb& db,
       }
     }
     if (!any_active) {
-      --stats.passes;
+      --passes;
       break;
     }
 
@@ -169,28 +189,15 @@ Task1Stats correlate_and_track(airfield::FlightDb& db,
       db.x[ai] = frame.rx[r];
       db.y[ai] = frame.ry[r];
       updated[ai] = 1;
-      ++stats.matched;
     }
   }
   for (std::size_t a = 0; a < n; ++a) {
     if (!updated[a]) {
       db.x[a] = scratch.ex[a];
       db.y[a] = scratch.ey[a];
-    } else {
-      ++stats.updated_aircraft;
     }
   }
-
-  for (std::size_t r = 0; r < frame.size(); ++r) {
-    if (frame.rmatch_with[r] == kNone) ++stats.unmatched_radars;
-    if (frame.rmatch_with[r] == kDiscarded) ++stats.discarded_radars;
-  }
-  for (std::size_t a = 0; a < n; ++a) {
-    if (db.rmatch[a] == static_cast<std::int8_t>(MatchState::kAmbiguous)) {
-      ++stats.ambiguous_aircraft;
-    }
-  }
-  return stats;
+  return {task1_outcome(db, frame, passes), work};
 }
 
 Task1Stats correlate_and_track(airfield::FlightDb& db,

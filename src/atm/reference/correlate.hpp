@@ -53,9 +53,16 @@ struct Task1Scratch {
   void resize(std::size_t aircraft, std::size_t radars);
 };
 
+/// Task 1's outcome, read off the final correlation state: the one tally
+/// every Task 1 path reports, after `passes` passes. `matched` (and
+/// `updated_aircraft`) counts the kMatched aircraft: every path commits
+/// the radar's position exactly to those.
+Task1Outcome task1_outcome(const airfield::FlightDb& db,
+                           const airfield::RadarFrame& frame, int passes);
+
 /// Run Task 1 on `db` against `frame`, updating both in place. Consumes
-/// and fills `scratch`. Returns outcome counters (modeled platform time is
-/// the backends' job; the reference is the semantic golden).
+/// and fills `scratch`. Returns the run's counters (modeled platform time
+/// is the backends' job; the reference is the semantic golden).
 Task1Stats correlate_and_track(airfield::FlightDb& db,
                                airfield::RadarFrame& frame,
                                Task1Scratch& scratch,

@@ -28,25 +28,17 @@ constexpr std::size_t kAircraftChunk = 8;
 constexpr auto kUnmatched = static_cast<std::int8_t>(MatchState::kUnmatched);
 constexpr auto kMatched = static_cast<std::int8_t>(MatchState::kMatched);
 
-/// Check a sharded run's params and reset `t` for it; returns the sector
-/// count (0 = unsharded).
+/// Reset `t` for a run; returns the sector count (0 = unsharded). The
+/// params contract bounds sectors_per_axis.
 std::size_t begin_telemetry(ShardTelemetry& t, core::spatial::ShardMode shard,
                             int sectors_per_axis) {
-  std::size_t sectors = 0;
-  if (shard == core::spatial::ShardMode::kSectors) {
-    ATM_CHECK_MSG(sectors_per_axis >= 1,
-                  "degenerate shard params: sectors_per_axis="
-                      << sectors_per_axis);
-    sectors = static_cast<std::size_t>(sectors_per_axis) *
-              static_cast<std::size_t>(sectors_per_axis);
-  }
-  t.sectors = static_cast<int>(sectors);
-  t.locked_ops = 0;
-  t.inner_ops = 0;
-  t.parallel_regions = 0;
-  t.sector_owned.assign(sectors, 0);
-  t.sector_candidates.assign(sectors, 0);
-  return sectors;
+  const auto axis = shard == core::spatial::ShardMode::kSectors
+                        ? static_cast<std::size_t>(sectors_per_axis)
+                        : std::size_t{0};
+  t = ShardTelemetry{};
+  t.sector_owned.assign(axis * axis, 0);
+  t.sector_candidates.assign(axis * axis, 0);
+  return axis * axis;
 }
 
 /// Records the sector tasks gathered into their snapshots.
@@ -209,15 +201,10 @@ std::size_t mark_eligible(const airfield::FlightDb& db,
   return count;
 }
 
-std::uint64_t commit_tracks(airfield::FlightDb& db,
-                            const airfield::RadarFrame& frame,
-                            mimd::ThreadPool& pool,
-                            const reference::Task1Scratch& t1) {
-  const auto took_return = [&](std::size_t a) {
-    return db.rmatch[a] == kMatched && t1.amatch[a] >= 0;
-  };
+void commit_tracks(airfield::FlightDb& db, const airfield::RadarFrame& frame,
+                   mimd::ThreadPool& pool, const reference::Task1Scratch& t1) {
   pool.parallel_for(0, db.size(), kChunk, [&](std::size_t a) {
-    if (took_return(a)) {
+    if (db.rmatch[a] == kMatched && t1.amatch[a] >= 0) {
       const auto r = static_cast<std::size_t>(t1.amatch[a]);
       db.x[a] = frame.rx[r];
       db.y[a] = frame.ry[r];
@@ -226,9 +213,6 @@ std::uint64_t commit_tracks(airfield::FlightDb& db,
       db.y[a] = t1.ey[a];
     }
   });
-  std::uint64_t matched = 0;
-  for (std::size_t a = 0; a < db.size(); ++a) matched += took_return(a);
-  return matched;
 }
 
 Task1Stats correlate_and_track(airfield::FlightDb& db,
@@ -237,16 +221,16 @@ Task1Stats correlate_and_track(airfield::FlightDb& db,
                                const Task1Params& params,
                                ShardTelemetry* telemetry) {
   const std::size_t n = db.size();
-  Task1Stats stats;
-  stats.radars = frame.size();
+  Task1Work work;
+  int passes = 0;
   const core::kern::Kernel kernel = core::kern::resolve(params.kernel);
-  stats.kernel = static_cast<int>(kernel);
+  work.kernel = static_cast<int>(kernel);
   check_task1_params(params);
   ShardTelemetry local_telemetry;
   ShardTelemetry& tele = telemetry != nullptr ? *telemetry : local_telemetry;
   const std::size_t sectors =
       begin_telemetry(tele, params.shard, params.sectors_per_axis);
-  stats.sectors = static_cast<int>(sectors);
+  work.sectors = static_cast<int>(sectors);
   reference::Task1Scratch& t1 = scratch.task1;
 
   begin_correlation(db, frame, pool, t1);
@@ -266,7 +250,7 @@ Task1Stats correlate_and_track(airfield::FlightDb& db,
         std::any_of(frame.rmatch_with.begin(), frame.rmatch_with.end(),
                     [](std::int32_t m) { return m == kNone; });
     if (!any_active) break;
-    ++stats.passes;
+    ++passes;
     const double half = params.box_half_nm * static_cast<double>(1 << pass);
     ATM_CHECK_MSG(half > prev_half && std::isfinite(half),
                   "correlation box failed to grow: pass=" << pass << " half="
@@ -310,7 +294,7 @@ Task1Stats correlate_and_track(airfield::FlightDb& db,
       scratch.partition.build(t1.ex, t1.ey, t1.eligible,
                               /*halo_reach_nm=*/half,
                               params.sectors_per_axis);
-      stats.halo_candidates += scratch.partition.halo_total();
+      work.halo_candidates += scratch.partition.halo_total();
 
       // Assign the still-active radars to sectors by position (CSR).
       scratch.radar_start.assign(sectors + 1, 0);
@@ -407,23 +391,14 @@ Task1Stats correlate_and_track(airfield::FlightDb& db,
     ++tele.parallel_regions;
   }
 
-  stats.matched = commit_tracks(db, frame, pool, t1);
-  stats.updated_aircraft = stats.matched;
+  commit_tracks(db, frame, pool, t1);
   ++tele.parallel_regions;
-
-  // Outcome stats.
-  for (const std::int32_t m : frame.rmatch_with) {
-    if (m == kNone) ++stats.unmatched_radars;
-    if (m == kDiscarded) ++stats.discarded_radars;
-  }
-  stats.ambiguous_aircraft = static_cast<std::uint64_t>(
-      std::count(db.rmatch.begin(), db.rmatch.end(),
-                 static_cast<std::int8_t>(MatchState::kAmbiguous)));
+  const Task1Outcome outcome = reference::task1_outcome(db, frame, passes);
 
   std::uint64_t hits = 0;
   for (const CoverTally& t : tally) {
-    stats.box_tests += t.tests;
-    stats.lanes_masked += t.lanes;
+    work.box_tests += t.tests;
+    work.lanes_masked += t.lanes;
     tele.inner_ops += t.reads;
     hits += t.hits;
   }
@@ -431,8 +406,8 @@ Task1Stats correlate_and_track(airfield::FlightDb& db,
   // reader lock per record read plus a write lock per coverage add and
   // per correlation.
   tele.locked_ops = sectors > 0 ? gathered(tele)
-                                : tele.inner_ops + hits + stats.matched;
-  return stats;
+                                : tele.inner_ops + hits + outcome.matched;
+  return {outcome, work};
 }
 
 Task23Stats detect_and_resolve(airfield::FlightDb& db,
@@ -445,6 +420,7 @@ Task23Stats detect_and_resolve(airfield::FlightDb& db,
   const core::kern::Kernel kernel = core::kern::resolve(params.kernel);
   stats.kernel = static_cast<int>(kernel);
   check_task23_params(params);
+  check_motion_finite(db);
   ShardTelemetry local_telemetry;
   ShardTelemetry& tele = telemetry != nullptr ? *telemetry : local_telemetry;
   const std::size_t sectors =

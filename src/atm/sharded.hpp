@@ -41,8 +41,8 @@
 // table or a candidate superset, and every write has one owner — each
 // aircraft/radar belongs to exactly one pool task, and Task 1's shared
 // per-aircraft coverage counts use relaxed atomic adds, which commute.
-// No lock is taken. Only the work counters (box_tests, pair_candidates,
-// pair_tests, sectors, halo_candidates) may differ between the modes.
+// No lock is taken. Only the *Work fields of the stats may differ between
+// the modes.
 #pragma once
 
 #include <cstdint>
@@ -76,7 +76,6 @@ namespace atm::tasks::sharded {
 /// In both unsharded cases inner_ops is [13]'s reader lock per record
 /// read and the rest are its write locks.
 struct ShardTelemetry {
-  int sectors = 0;                     ///< 0 = unsharded.
   std::uint64_t locked_ops = 0;        ///< [13]'s lock charge, see above.
   std::uint64_t inner_ops = 0;         ///< Region records the scans read.
   std::uint64_t parallel_regions = 0;  ///< fork/join barriers.
@@ -149,10 +148,8 @@ std::size_t mark_eligible(const airfield::FlightDb& db,
                           reference::Task1Scratch& t1);
 
 /// Commit (one parallel region): an aircraft that took a return jumps to
-/// it, the rest fly to their expected position. Returns the first count.
-std::uint64_t commit_tracks(airfield::FlightDb& db,
-                            const airfield::RadarFrame& frame,
-                            mimd::ThreadPool& pool,
-                            const reference::Task1Scratch& t1);
+/// it, the rest fly to their expected position.
+void commit_tracks(airfield::FlightDb& db, const airfield::RadarFrame& frame,
+                   mimd::ThreadPool& pool, const reference::Task1Scratch& t1);
 
 }  // namespace atm::tasks::sharded

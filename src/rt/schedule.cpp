@@ -1,53 +1,20 @@
 #include "src/rt/schedule.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace atm::rt {
 
 MajorCycleSchedule::MajorCycleSchedule(int periods_per_cycle,
                                        double period_ms)
-    : periods_(static_cast<std::size_t>(periods_per_cycle)),
-      period_ms_(period_ms) {
+    : periods_per_cycle_(periods_per_cycle), period_ms_(period_ms) {
   if (periods_per_cycle <= 0 || period_ms <= 0.0) {
     throw std::invalid_argument("MajorCycleSchedule: invalid dimensions");
   }
 }
 
-void MajorCycleSchedule::add_every_period(const std::string& task,
-                                          int order) {
-  for (int p = 0; p < periods_per_cycle(); ++p) {
-    add_in_period(task, p, order);
-  }
-}
-
-void MajorCycleSchedule::add_in_period(const std::string& task, int period,
-                                       int order) {
-  if (period < 0 || period >= periods_per_cycle()) {
-    throw std::out_of_range("MajorCycleSchedule: period out of range");
-  }
-  auto& slots = periods_[static_cast<std::size_t>(period)];
-  slots.push_back(Slot{task, order});
-  std::stable_sort(slots.begin(), slots.end(),
-                   [](const Slot& a, const Slot& b) {
-                     return a.order < b.order;
-                   });
-}
-
-const std::vector<Slot>& MajorCycleSchedule::slots(int period) const {
-  if (period < 0 || period >= periods_per_cycle()) {
-    throw std::out_of_range("MajorCycleSchedule: period out of range");
-  }
-  return periods_[static_cast<std::size_t>(period)];
-}
-
 MajorCycleSchedule MajorCycleSchedule::paper_schedule() {
-  MajorCycleSchedule schedule(core::kPeriodsPerMajorCycle,
-                              core::kPeriodSeconds * 1000.0);
-  schedule.add_every_period("task1", /*order=*/0);
-  schedule.add_in_period("task23", schedule.periods_per_cycle() - 1,
-                         /*order=*/1);
-  return schedule;
+  return MajorCycleSchedule(core::kPeriodsPerMajorCycle,
+                            core::kPeriodSeconds * 1000.0);
 }
 
 }  // namespace atm::rt

@@ -1,54 +1,32 @@
 // The paper's periodic schedule: an 8-second major cycle of 16 half-second
-// periods, Task 1 every period, Tasks 2+3 once per major cycle.
+// periods. Which task runs in which period is the executive's cadence
+// (`paper_steps()` in src/atm/pipeline.cpp); this type holds only the
+// cycle's dimensions.
 #pragma once
-
-#include <string>
-#include <vector>
 
 #include "src/core/units.hpp"
 
 namespace atm::rt {
 
-/// One scheduled task slot within a period.
-struct Slot {
-  std::string task;
-  /// Relative priority within the period (lower runs first). Task 1 runs
-  /// before Tasks 2+3 in the shared 16th period.
-  int order = 0;
-};
-
-/// A cyclic schedule: `periods[p]` lists the slots of period p of the
-/// major cycle, in execution order.
+/// The dimensions of a cyclic schedule: periods per major cycle and the
+/// period length.
 class MajorCycleSchedule {
  public:
-  /// Construct an empty schedule of `periods_per_cycle` periods, each
-  /// `period_ms` long.
+  /// A schedule of `periods_per_cycle` periods, each `period_ms` long.
+  /// Throws std::invalid_argument unless both are positive.
   MajorCycleSchedule(int periods_per_cycle, double period_ms);
 
-  /// Add a task to every period (the paper's Task 1).
-  void add_every_period(const std::string& task, int order = 0);
-
-  /// Add a task to one specific period of the cycle (Tasks 2+3 run in the
-  /// final period, index periods_per_cycle - 1).
-  void add_in_period(const std::string& task, int period, int order = 0);
-
-  [[nodiscard]] int periods_per_cycle() const {
-    return static_cast<int>(periods_.size());
-  }
+  [[nodiscard]] int periods_per_cycle() const { return periods_per_cycle_; }
   [[nodiscard]] double period_ms() const { return period_ms_; }
   [[nodiscard]] double major_cycle_ms() const {
-    return period_ms_ * periods_per_cycle();
+    return period_ms_ * periods_per_cycle_;
   }
 
-  /// Slots of period p, ordered by `order`.
-  [[nodiscard]] const std::vector<Slot>& slots(int period) const;
-
-  /// The paper's schedule: 16 x 500 ms periods, "task1" every period,
-  /// "task23" in the last period after Task 1.
+  /// The paper's schedule: 16 x 500 ms periods.
   [[nodiscard]] static MajorCycleSchedule paper_schedule();
 
  private:
-  std::vector<std::vector<Slot>> periods_;
+  int periods_per_cycle_;
   double period_ms_;
 };
 

@@ -97,26 +97,6 @@ bool compare_series(const std::string& where, const char* what,
 
 }  // namespace
 
-tasks::Task1Stats outcome_only(tasks::Task1Stats s) {
-  s.box_tests = 0;
-  s.sectors = 0;
-  s.halo_candidates = 0;
-  s.kernel = -1;
-  s.lanes_masked = 0;
-  return s;
-}
-
-tasks::Task23Stats outcome_only(tasks::Task23Stats s) {
-  s.pair_tests = 0;
-  s.pair_candidates = 0;
-  s.rescans = 0;
-  s.sectors = 0;
-  s.halo_candidates = 0;
-  s.kernel = -1;
-  s.lanes_masked = 0;
-  return s;
-}
-
 std::string OracleReport::to_string() const {
   std::ostringstream out;
   for (const Divergence& d : divergences) {
@@ -153,25 +133,16 @@ bool compare_runs(const std::string& where,
     }
   }
 
-  if (outcome_only(got.last_task1) != outcome_only(want.last_task1)) {
+  if (got.last_task1.outcome() != want.last_task1.outcome()) {
     std::ostringstream out;
-    out << "task1 outcome: matched " << got.last_task1.matched << " vs "
-        << want.last_task1.matched << ", updated "
-        << got.last_task1.updated_aircraft << " vs "
-        << want.last_task1.updated_aircraft << ", ambiguous "
-        << got.last_task1.ambiguous_aircraft << " vs "
-        << want.last_task1.ambiguous_aircraft;
+    out << "task1 outcome: " << got.last_task1.outcome() << " vs "
+        << want.last_task1.outcome();
     diverge(report, where, out.str());
   }
-  if (outcome_only(got.last_task23) != outcome_only(want.last_task23)) {
+  if (got.last_task23.outcome() != want.last_task23.outcome()) {
     std::ostringstream out;
-    out << "task23 outcome: conflicts " << got.last_task23.conflicts
-        << " vs " << want.last_task23.conflicts << ", critical "
-        << got.last_task23.critical << " vs " << want.last_task23.critical
-        << ", resolved " << got.last_task23.resolved << " vs "
-        << want.last_task23.resolved << ", unresolved "
-        << got.last_task23.unresolved << " vs "
-        << want.last_task23.unresolved;
+    out << "task23 outcome: " << got.last_task23.outcome() << " vs "
+        << want.last_task23.outcome();
     diverge(report, where, out.str());
   }
 
@@ -296,12 +267,10 @@ void check_permutation(const ForgedCase& c, OracleReport& report) {
       tasks::reference::detect_and_resolve(permuted, c.scenario.task23);
   report.runs += 2;
 
-  if (outcome_only(stats_a) != outcome_only(stats_b)) {
+  if (stats_a.outcome() != stats_b.outcome()) {
     std::ostringstream out;
-    out << "outcome counters change under permutation: conflicts "
-        << stats_a.conflicts << " vs " << stats_b.conflicts << ", critical "
-        << stats_a.critical << " vs " << stats_b.critical << ", resolved "
-        << stats_a.resolved << " vs " << stats_b.resolved;
+    out << "outcome counters change under permutation: "
+        << stats_a.outcome() << " vs " << stats_b.outcome();
     diverge(report, "permutation", out.str());
   }
   for (std::size_t slot = 0; slot < n; ++slot) {
@@ -376,10 +345,10 @@ void check_full_system(const ForgedCase& c, tasks::ReferenceBackend& ref,
   report.runs += 2;
 
   const std::string where = "full-system";
-  if (outcome_only(a.last_task1) != outcome_only(b.last_task1)) {
+  if (a.last_task1.outcome() != b.last_task1.outcome()) {
     diverge(report, where, "task1 outcome counters differ");
   }
-  if (outcome_only(a.last_task23) != outcome_only(b.last_task23)) {
+  if (a.last_task23.outcome() != b.last_task23.outcome()) {
     diverge(report, where, "task23 outcome counters differ");
   }
   if (!(a.last_terrain == b.last_terrain)) {

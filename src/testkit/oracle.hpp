@@ -58,13 +58,6 @@ struct OracleReport {
 [[nodiscard]] OracleReport check_case(const ForgedCase& c,
                                       const OracleOptions& options = {});
 
-/// Outcome-level projections of the task counters: work fields that
-/// legitimately vary across broadphase/shard/kernel/platform choices
-/// (box_tests, pair counts, sector and kernel bookkeeping) are cleared;
-/// what the task *concluded* is kept. Exposed for tests and tools.
-[[nodiscard]] tasks::Task1Stats outcome_only(tasks::Task1Stats s);
-[[nodiscard]] tasks::Task23Stats outcome_only(tasks::Task23Stats s);
-
 /// Compare two pipeline executions of the same case (states + outcome
 /// stats + per-period wraps), appending any mismatch to `report` under
 /// the label `where`. Returns true when the runs agree. `got`/`want` are

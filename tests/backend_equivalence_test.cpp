@@ -31,24 +31,6 @@ const NamedFactory kPlatforms[] = {
 class BackendEquivalenceTest
     : public ::testing::TestWithParam<NamedFactory> {};
 
-/// Strip the architecture-dependent work counters so outcome counters can
-/// be compared across platforms (work differs by design: an associative
-/// search touches every PE, a sequential scan only eligible records).
-Task1Stats outcome_only(Task1Stats s) {
-  s.box_tests = 0;
-  s.kernel = -1;
-  s.lanes_masked = 0;
-  return s;
-}
-Task23Stats outcome_only(Task23Stats s) {
-  s.pair_tests = 0;
-  s.pair_candidates = 0;
-  s.rescans = 0;
-  s.kernel = -1;
-  s.lanes_masked = 0;
-  return s;
-}
-
 TEST_P(BackendEquivalenceTest, SingleTask1MatchesReference) {
   const airfield::FlightDb initial = airfield::make_airfield(800, 42);
 
@@ -69,7 +51,7 @@ TEST_P(BackendEquivalenceTest, SingleTask1MatchesReference) {
   ASSERT_EQ(frame.truth, ref_frame.truth);
 
   const Task1Result r1 = backend->run_task1(frame, {});
-  EXPECT_EQ(outcome_only(r1.stats), outcome_only(ref_r1.stats));
+  EXPECT_EQ(r1.stats.outcome(), ref_r1.stats.outcome());
   EXPECT_EQ(frame.rmatch_with, ref_frame.rmatch_with);
   EXPECT_TRUE(backend->state().same_flight_state(ref.state()))
       << GetParam().label << " diverged from the reference after Task 1";
@@ -86,7 +68,7 @@ TEST_P(BackendEquivalenceTest, SingleTask23MatchesReference) {
   backend->load(initial);
   const Task23Result r23 = backend->run_task23({});
 
-  EXPECT_EQ(outcome_only(r23.stats), outcome_only(ref_r23.stats));
+  EXPECT_EQ(r23.stats.outcome(), ref_r23.stats.outcome());
   EXPECT_TRUE(backend->state().same_flight_state(ref.state()))
       << GetParam().label << " diverged from the reference after Tasks 2+3";
   // Collision working state must agree too.
@@ -113,15 +95,88 @@ TEST_P(BackendEquivalenceTest, FullMajorCycleMatchesReference) {
 
   EXPECT_TRUE(backend->state().same_flight_state(ref.state()))
       << GetParam().label << " diverged over a full major cycle";
-  EXPECT_EQ(outcome_only(result.last_task1),
-            outcome_only(ref_result.last_task1));
-  EXPECT_EQ(outcome_only(result.last_task23),
-            outcome_only(ref_result.last_task23));
+  EXPECT_EQ(result.last_task1.outcome(), ref_result.last_task1.outcome());
+  EXPECT_EQ(result.last_task23.outcome(), ref_result.last_task23.outcome());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllPlatforms, BackendEquivalenceTest, ::testing::ValuesIn(kPlatforms),
     [](const ::testing::TestParamInfo<NamedFactory>& info) {
+      return std::string(info.param.label);
+    });
+
+// The Task 1 and multi-radar outcome counters, pinned to the values every
+// backend reads on one fleet. Cross-backend equivalence cannot see a tally
+// that every backend shares, so these literals guard what each counter
+// means.
+struct PinCase {
+  const char* label;
+  std::unique_ptr<Backend> (*make)();
+  core::spatial::BroadphaseMode broadphase;
+  core::spatial::ShardMode shard;
+};
+
+constexpr auto kBrute = core::spatial::BroadphaseMode::kBruteForce;
+constexpr auto kGrid = core::spatial::BroadphaseMode::kGrid;
+constexpr auto kWhole = core::spatial::ShardMode::kNone;
+constexpr auto kSectors = core::spatial::ShardMode::kSectors;
+
+const PinCase kPinCases[] = {
+    {"reference", &make_reference, kBrute, kWhole},
+    {"xeon", &make_xeon, kBrute, kWhole},
+    {"titanx", &make_titan_x_pascal, kBrute, kWhole},
+    {"9800gt", &make_geforce_9800_gt, kBrute, kWhole},
+    {"staran", &make_staran, kBrute, kWhole},
+    {"clearspeed", &make_clearspeed, kBrute, kWhole},
+    {"xeon_phi", &make_xeon_phi, kBrute, kWhole},
+    {"reference_grid", &make_reference, kGrid, kWhole},
+    {"xeon_grid", &make_xeon, kGrid, kWhole},
+    {"reference_grid_4x4", &make_reference, kGrid, kSectors},
+    {"xeon_grid_4x4", &make_xeon, kGrid, kSectors},
+};
+
+class OutcomePinTest : public ::testing::TestWithParam<PinCase> {};
+
+TEST_P(OutcomePinTest, Task1AndMultiRadarCountersArePinned) {
+  auto backend = GetParam().make();
+  backend->load(airfield::make_airfield(1500, 7));
+  Task1Params p;
+  p.broadphase = GetParam().broadphase;
+  p.shard = GetParam().shard;
+  p.sectors_per_axis = 4;
+
+  core::Rng radar_rng(11);
+  airfield::RadarParams radar;
+  radar.noise_nm = 0.9;
+  radar.dropout_probability = 0.05;
+  airfield::RadarFrame frame =
+      backend->generate_radar(radar_rng, radar, nullptr);
+  const Task1Stats t1 = backend->run_task1(frame, p).stats;
+  EXPECT_EQ(t1.radars, 1500u);
+  EXPECT_EQ(t1.matched, 1324u);
+  EXPECT_EQ(t1.discarded_radars, 59u);
+  EXPECT_EQ(t1.unmatched_radars, 73u);
+  EXPECT_EQ(t1.ambiguous_aircraft, 56u);
+  EXPECT_EQ(t1.updated_aircraft, 1324u);
+  EXPECT_EQ(t1.passes, 3);
+
+  core::Rng multi_rng(30);
+  airfield::RadarParams multi;
+  multi.noise_nm = 1.6;
+  airfield::MultiRadarFrame multi_frame = airfield::generate_multi_radar(
+      backend->state(), airfield::make_tower_layout(21), multi_rng, multi);
+  const MultiRadarStats m = backend->run_multi_task1(multi_frame, p).stats;
+  EXPECT_EQ(m.returns, 8138u);
+  EXPECT_EQ(m.matched_aircraft, 1498u);
+  EXPECT_EQ(m.redundant_returns, 1430u);
+  EXPECT_EQ(m.discarded_returns, 71u);
+  EXPECT_EQ(m.unmatched_returns, 5139u);
+  EXPECT_EQ(m.passes, 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OutcomePins, OutcomePinTest, ::testing::ValuesIn(kPinCases),
+    [](const ::testing::TestParamInfo<PinCase>& info) {
       return std::string(info.param.label);
     });
 

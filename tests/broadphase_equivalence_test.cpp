@@ -1,10 +1,9 @@
 // Brute-force vs grid broadphase equivalence: for every named scenario,
 // the kGrid indexes must not change a single task outcome — identical
-// Task1Stats / Task23Stats outcome counters (including the bounding-box
-// retry pass count) and bit-identical post-run flight state — on both
-// host execution paths (sequential reference and the MIMD thread pool).
-// Only the work counters (box_tests, pair_candidates, pair_tests) may
-// differ; that is the broadphase's whole purpose.
+// outcome() counters (including the bounding-box retry pass count) and
+// bit-identical post-run flight state — on both host execution paths
+// (sequential reference and the MIMD thread pool). Only the *Work fields
+// may differ; that is the broadphase's whole purpose.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,21 +23,6 @@ namespace atm::tasks {
 namespace {
 
 using core::spatial::BroadphaseMode;
-
-Task1Stats outcome_only(Task1Stats s) {
-  s.box_tests = 0;
-  s.kernel = -1;
-  s.lanes_masked = 0;
-  return s;
-}
-Task23Stats outcome_only(Task23Stats s) {
-  s.pair_tests = 0;
-  s.pair_candidates = 0;
-  s.rescans = 0;
-  s.kernel = -1;
-  s.lanes_masked = 0;
-  return s;
-}
 
 PipelineConfig config_with_mode(const Scenario& scenario,
                                 BroadphaseMode mode, int cycles = 1) {
@@ -148,9 +132,9 @@ TEST_P(BroadphaseEquivalenceTest, ReferencePathMatchesBruteForce) {
   const PipelineResult rg = run_pipeline(
       grid, config_with_mode(GetParam(), BroadphaseMode::kGrid));
 
-  EXPECT_EQ(outcome_only(rb.last_task1), outcome_only(rg.last_task1));
+  EXPECT_EQ(rb.last_task1.outcome(), rg.last_task1.outcome());
   EXPECT_EQ(rb.last_task1.passes, rg.last_task1.passes);
-  EXPECT_EQ(outcome_only(rb.last_task23), outcome_only(rg.last_task23));
+  EXPECT_EQ(rb.last_task23.outcome(), rg.last_task23.outcome());
   ASSERT_EQ(rb.periods.size(), rg.periods.size());
   for (std::size_t i = 0; i < rb.periods.size(); ++i) {
     EXPECT_EQ(rb.periods[i].wrapped, rg.periods[i].wrapped)
@@ -167,8 +151,8 @@ TEST_P(BroadphaseEquivalenceTest, MimdPathMatchesBruteForce) {
   const PipelineResult rg = run_pipeline(
       grid, config_with_mode(GetParam(), BroadphaseMode::kGrid));
 
-  EXPECT_EQ(outcome_only(rb.last_task1), outcome_only(rg.last_task1));
-  EXPECT_EQ(outcome_only(rb.last_task23), outcome_only(rg.last_task23));
+  EXPECT_EQ(rb.last_task1.outcome(), rg.last_task1.outcome());
+  EXPECT_EQ(rb.last_task23.outcome(), rg.last_task23.outcome());
   EXPECT_TRUE(brute.state().same_flight_state(grid.state()))
       << GetParam().name << ": grid broadphase diverged on the MIMD path";
 }
@@ -182,8 +166,8 @@ TEST_P(BroadphaseEquivalenceTest, GridMimdMatchesGridReference) {
       ref, config_with_mode(GetParam(), BroadphaseMode::kGrid));
   const PipelineResult rx = run_pipeline(
       xeon, config_with_mode(GetParam(), BroadphaseMode::kGrid));
-  EXPECT_EQ(outcome_only(rr.last_task1), outcome_only(rx.last_task1));
-  EXPECT_EQ(outcome_only(rr.last_task23), outcome_only(rx.last_task23));
+  EXPECT_EQ(rr.last_task1.outcome(), rx.last_task1.outcome());
+  EXPECT_EQ(rr.last_task23.outcome(), rx.last_task23.outcome());
   EXPECT_TRUE(ref.state().same_flight_state(xeon.state()));
 }
 
@@ -227,7 +211,7 @@ TEST(BroadphaseEquivalence, RetryPassesAreExercisedAndIdentical) {
   EXPECT_GT(rb.last_task1.passes, 1) << "scenario no longer retries; the "
                                         "multi-pass grid path is untested";
   EXPECT_EQ(rb.last_task1.passes, rg.last_task1.passes);
-  EXPECT_EQ(outcome_only(rb.last_task1), outcome_only(rg.last_task1));
+  EXPECT_EQ(rb.last_task1.outcome(), rg.last_task1.outcome());
   EXPECT_TRUE(brute.state().same_flight_state(grid.state()));
 }
 
@@ -263,8 +247,8 @@ TEST(BroadphaseEquivalence, GridEdgeReentryAircraftStayIdentical) {
   std::size_t wraps = 0;
   for (const PeriodLog& log : rb.periods) wraps += log.wrapped;
   EXPECT_GT(wraps, 0u) << "no aircraft wrapped; the re-entry case is dead";
-  EXPECT_EQ(outcome_only(rb.last_task1), outcome_only(rg.last_task1));
-  EXPECT_EQ(outcome_only(rb.last_task23), outcome_only(rg.last_task23));
+  EXPECT_EQ(rb.last_task1.outcome(), rg.last_task1.outcome());
+  EXPECT_EQ(rb.last_task23.outcome(), rg.last_task23.outcome());
   EXPECT_TRUE(brute.state().same_flight_state(grid.state()));
 }
 

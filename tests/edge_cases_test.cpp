@@ -19,6 +19,7 @@
 #include "src/atm/platforms.hpp"
 #include "src/atm/reference/collision.hpp"
 #include "src/atm/reference_backend.hpp"
+#include "src/atm/sharded.hpp"
 
 namespace atm::tasks {
 namespace {
@@ -195,14 +196,6 @@ TEST(EdgeCases, NonFiniteRadarReturnsMatchAcrossBroadphaseAndShards) {
     EXPECT_EQ(want_matches[r], airfield::kNone) << "return " << r;
   }
 
-  const auto outcome_only = [](Task1Stats s) {
-    s.box_tests = 0;
-    s.sectors = 0;
-    s.halo_candidates = 0;
-    s.kernel = -1;
-    s.lanes_masked = 0;
-    return s;
-  };
   ReferenceBackend ref;
   MimdBackend xeon;
   for (Backend* backend : {static_cast<Backend*>(&ref),
@@ -216,7 +209,7 @@ TEST(EdgeCases, NonFiniteRadarReturnsMatchAcrossBroadphaseAndShards) {
             backend->name() + " " +
             std::string(core::spatial::to_string(phase)) + " " +
             std::string(core::spatial::to_string(shard));
-        EXPECT_EQ(outcome_only(got), outcome_only(want)) << where;
+        EXPECT_EQ(got.outcome(), want.outcome()) << where;
         EXPECT_EQ(got_matches, want_matches) << where;
         EXPECT_TRUE(backend->state().same_flight_state(oracle.state()))
             << where;
@@ -333,6 +326,125 @@ TEST(EdgeCasesDeathTest, Task23ParamsOutsideTheContractAbort) {
           ReferenceBackend ref;
           ref.load(fleet);
           (void)ref.run_task23(params);
+        },
+        want);
+    EXPECT_DEATH(
+        {
+          CudaBackend cuda(simt::titan_x_pascal());
+          cuda.load(fleet);
+          (void)cuda.run_task23_pairgrid(params);
+        },
+        want);
+  }
+}
+
+TEST(EdgeCasesDeathTest, ShardSectorsOutsideTheContractAbort) {
+  // The executor sizes its scratch with sectors_per_axis^2 entries and
+  // sector ids are row * axis + col ints, so the axis is bounded whatever
+  // the shard mode: the governor can switch sharding on mid-run.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";  // MimdBackend pool
+  const airfield::FlightDb fleet = airfield::make_airfield(10, 1);
+  const struct {
+    int per_axis;
+    core::spatial::ShardMode shard;
+  } bad[] = {{0, core::spatial::ShardMode::kSectors},
+             {-1, core::spatial::ShardMode::kSectors},
+             {kMaxShardSectorsPerAxis + 1, core::spatial::ShardMode::kSectors},
+             {0, core::spatial::ShardMode::kNone}};
+  for (const auto& b : bad) {
+    Task1Params p1;
+    p1.shard = b.shard;
+    p1.sectors_per_axis = b.per_axis;
+    Task23Params p23;
+    p23.shard = b.shard;
+    p23.sectors_per_axis = b.per_axis;
+    const std::string want =
+        std::string("ATM_CHECK failed: .*\n  at .*task_types\\.hpp:[0-9]+\n"
+                    "  context: Task[0-9]+Params out of range: .*"
+                    "sectors_per_axis=") +
+        std::to_string(b.per_axis);
+    SCOPED_TRACE(want);
+    for (const auto make : {make_reference, make_xeon}) {
+      EXPECT_DEATH(
+          {
+            const std::unique_ptr<Backend> backend = make();
+            backend->load(fleet);
+            core::Rng rng(1);
+            airfield::RadarFrame frame =
+                backend->generate_radar(rng, {}, nullptr);
+            (void)backend->run_task1(frame, p1);
+          },
+          want);
+      EXPECT_DEATH(
+          {
+            const std::unique_ptr<Backend> backend = make();
+            backend->load(fleet);
+            (void)backend->run_task23(p23);
+          },
+          want);
+    }
+  }
+}
+
+TEST(EdgeCasesDeathTest, NonFiniteMotionStateAborts) {
+  // A NaN passes every pair test, but the sector partition clamps it into
+  // one edge sector, so sharded and unsharded Tasks 2+3 would disagree.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";  // MimdBackend pool
+  airfield::FlightDb fleet(2);
+  fleet.x[0] = 0.0;
+  fleet.dx[0] = 0.05;
+  fleet.x[1] = 25.0;
+  fleet.dx[1] = -0.05;
+  fleet.alt[0] = fleet.alt[1] = 9000.0;
+  const std::string want =
+      "ATM_CHECK failed: .*\n  at .*task_types\\.hpp:[0-9]+\n"
+      "  context: non-finite motion state: aircraft 1";
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const char* field : {"x", "dy", "alt"}) {
+    airfield::FlightDb bad = fleet;
+    if (std::string(field) == "x") bad.x[1] = nan;
+    if (std::string(field) == "dy") bad.dy[1] = nan;
+    if (std::string(field) == "alt") bad.alt[1] = inf;
+    SCOPED_TRACE(field);
+    Task23Params sharded_params;
+    sharded_params.shard = core::spatial::ShardMode::kSectors;
+    sharded_params.sectors_per_axis = 4;
+    EXPECT_DEATH(
+        {
+          airfield::FlightDb db = bad;
+          (void)reference::detect_and_resolve(db, {});
+        },
+        want);
+    EXPECT_DEATH(
+        {
+          airfield::FlightDb db = bad;
+          mimd::ThreadPool pool(2);
+          sharded::ShardScratch scratch;
+          (void)sharded::detect_and_resolve(db, pool, scratch,
+                                            sharded_params);
+        },
+        want);
+    EXPECT_DEATH(
+        {
+          ReferenceBackend ref;
+          ref.load(bad);
+          (void)ref.run_task23({});
+        },
+        want);
+    EXPECT_DEATH(
+        {
+          MimdBackend mimd;
+          mimd.load(bad);
+          (void)mimd.run_task23(sharded_params);
+        },
+        want);
+    EXPECT_DEATH(
+        {
+          const std::unique_ptr<Backend> staran = make_staran();
+          staran->load(bad);
+          (void)staran->run_task23({});
         },
         want);
   }

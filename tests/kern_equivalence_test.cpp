@@ -43,25 +43,6 @@ using core::kern::KernelMode;
 using core::spatial::BroadphaseMode;
 using core::spatial::ShardMode;
 
-Task1Stats outcome_only(Task1Stats s) {
-  s.box_tests = 0;
-  s.sectors = 0;
-  s.halo_candidates = 0;
-  s.kernel = -1;
-  s.lanes_masked = 0;
-  return s;
-}
-Task23Stats outcome_only(Task23Stats s) {
-  s.pair_tests = 0;
-  s.pair_candidates = 0;
-  s.rescans = 0;
-  s.sectors = 0;
-  s.halo_candidates = 0;
-  s.kernel = -1;
-  s.lanes_masked = 0;
-  return s;
-}
-
 PipelineConfig make_config(const Scenario& scenario, KernelMode kernel,
                            BroadphaseMode phase, ShardMode shard) {
   Scenario s = scenario;
@@ -86,9 +67,9 @@ TEST_P(KernelEquivalenceTest, ReferencePathAvx2MatchesScalar) {
       SCOPED_TRACE(GetParam().name +
                    (phase == BroadphaseMode::kGrid ? " grid" : " brute") +
                    (shard == ShardMode::kSectors ? " sectors" : " unsharded"));
-      EXPECT_EQ(outcome_only(rs.last_task1), outcome_only(rv.last_task1));
+      EXPECT_EQ(rs.last_task1.outcome(), rv.last_task1.outcome());
       EXPECT_EQ(rs.last_task1.passes, rv.last_task1.passes);
-      EXPECT_EQ(outcome_only(rs.last_task23), outcome_only(rv.last_task23));
+      EXPECT_EQ(rs.last_task23.outcome(), rv.last_task23.outcome());
       EXPECT_TRUE(scalar.state().same_flight_state(avx2.state()))
           << "avx2 kernel changed the flight state";
     }
@@ -107,8 +88,8 @@ TEST_P(KernelEquivalenceTest, MimdPathAvx2MatchesScalar) {
       SCOPED_TRACE(GetParam().name +
                    (phase == BroadphaseMode::kGrid ? " grid" : " brute") +
                    (shard == ShardMode::kSectors ? " sectors" : " unsharded"));
-      EXPECT_EQ(outcome_only(rs.last_task1), outcome_only(rv.last_task1));
-      EXPECT_EQ(outcome_only(rs.last_task23), outcome_only(rv.last_task23));
+      EXPECT_EQ(rs.last_task1.outcome(), rv.last_task1.outcome());
+      EXPECT_EQ(rs.last_task23.outcome(), rv.last_task23.outcome());
       EXPECT_TRUE(scalar.state().same_flight_state(avx2.state()))
           << "avx2 kernel diverged on the MIMD path";
     }

@@ -96,33 +96,9 @@ TEST(MajorCycleSchedule, PaperScheduleShape) {
   EXPECT_EQ(schedule.periods_per_cycle(), 16);
   EXPECT_DOUBLE_EQ(schedule.period_ms(), 500.0);
   EXPECT_DOUBLE_EQ(schedule.major_cycle_ms(), 8000.0);
-  // Task 1 in every period.
-  for (int p = 0; p < 16; ++p) {
-    const auto& slots = schedule.slots(p);
-    ASSERT_FALSE(slots.empty());
-    EXPECT_EQ(slots[0].task, "task1");
-  }
-  // Tasks 2+3 only in the 16th period, after Task 1.
-  EXPECT_EQ(schedule.slots(15).size(), 2u);
-  EXPECT_EQ(schedule.slots(15)[1].task, "task23");
-  EXPECT_EQ(schedule.slots(0).size(), 1u);
-}
-
-TEST(MajorCycleSchedule, OrderingWithinPeriod) {
-  MajorCycleSchedule schedule(4, 100.0);
-  schedule.add_in_period("late", 2, /*order=*/5);
-  schedule.add_in_period("early", 2, /*order=*/1);
-  const auto& slots = schedule.slots(2);
-  ASSERT_EQ(slots.size(), 2u);
-  EXPECT_EQ(slots[0].task, "early");
-  EXPECT_EQ(slots[1].task, "late");
 }
 
 TEST(MajorCycleSchedule, BoundsChecking) {
-  MajorCycleSchedule schedule(4, 100.0);
-  EXPECT_THROW(schedule.add_in_period("x", 4), std::out_of_range);
-  EXPECT_THROW(schedule.add_in_period("x", -1), std::out_of_range);
-  EXPECT_THROW((void)schedule.slots(4), std::out_of_range);
   EXPECT_THROW(MajorCycleSchedule(0, 100.0), std::invalid_argument);
   EXPECT_THROW(MajorCycleSchedule(4, 0.0), std::invalid_argument);
 }

@@ -2,12 +2,11 @@
 // per-sector thread-pool tasks must not change a single task outcome.
 // For every named scenario, every sector count, and both broadphase
 // modes (sharding composes with the per-sector indexes), the sharded
-// runs must produce identical Task1Stats / Task23Stats outcome counters
-// and bit-identical post-run flight state on both host execution paths
-// (sequential reference and the MIMD thread pool). Only the work
-// counters (box_tests, pair_candidates, pair_tests, sectors,
-// halo_candidates) may differ — that the halos make this exact is the
-// whole design bar (docs/SHARDING.md).
+// runs must produce identical outcome() counters and bit-identical
+// post-run flight state on both host execution paths (sequential
+// reference and the MIMD thread pool). Only the *Work fields may differ —
+// that the halos make this exact is the whole design bar
+// (docs/SHARDING.md).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,25 +23,6 @@ namespace {
 
 using core::spatial::BroadphaseMode;
 using core::spatial::ShardMode;
-
-Task1Stats outcome_only(Task1Stats s) {
-  s.box_tests = 0;
-  s.sectors = 0;
-  s.halo_candidates = 0;
-  s.kernel = -1;
-  s.lanes_masked = 0;
-  return s;
-}
-Task23Stats outcome_only(Task23Stats s) {
-  s.pair_tests = 0;
-  s.pair_candidates = 0;
-  s.rescans = 0;
-  s.sectors = 0;
-  s.halo_candidates = 0;
-  s.kernel = -1;
-  s.lanes_masked = 0;
-  return s;
-}
 
 PipelineConfig make_config(const Scenario& scenario, BroadphaseMode phase,
                            ShardMode shard, int sectors_per_axis) {
@@ -76,9 +56,9 @@ TEST_P(SectorEquivalenceTest, ReferencePathMatchesUnsharded) {
           << "sharded Task 1 path did not run";
       EXPECT_EQ(rs.last_task23.sectors, axis * axis)
           << "sharded Task 23 path did not run";
-      EXPECT_EQ(outcome_only(rb.last_task1), outcome_only(rs.last_task1));
+      EXPECT_EQ(rb.last_task1.outcome(), rs.last_task1.outcome());
       EXPECT_EQ(rb.last_task1.passes, rs.last_task1.passes);
-      EXPECT_EQ(outcome_only(rb.last_task23), outcome_only(rs.last_task23));
+      EXPECT_EQ(rb.last_task23.outcome(), rs.last_task23.outcome());
       ASSERT_EQ(rb.periods.size(), rs.periods.size());
       for (std::size_t i = 0; i < rb.periods.size(); ++i) {
         EXPECT_EQ(rb.periods[i].wrapped, rs.periods[i].wrapped)
@@ -103,8 +83,8 @@ TEST_P(SectorEquivalenceTest, MimdPathMatchesUnsharded) {
           sharded, make_config(GetParam(), phase, ShardMode::kSectors, axis));
       SCOPED_TRACE(GetParam().name + " sectors=" + std::to_string(axis) +
                    (phase == BroadphaseMode::kGrid ? " grid" : " brute"));
-      EXPECT_EQ(outcome_only(rb.last_task1), outcome_only(rs.last_task1));
-      EXPECT_EQ(outcome_only(rb.last_task23), outcome_only(rs.last_task23));
+      EXPECT_EQ(rb.last_task1.outcome(), rs.last_task1.outcome());
+      EXPECT_EQ(rb.last_task23.outcome(), rs.last_task23.outcome());
       EXPECT_TRUE(baseline.state().same_flight_state(sharded.state()))
           << "sector sharding diverged on the MIMD path";
     }
@@ -122,8 +102,8 @@ TEST_P(SectorEquivalenceTest, ShardedMimdMatchesShardedReference) {
   const PipelineResult rx = run_pipeline(
       xeon, make_config(GetParam(), BroadphaseMode::kGrid,
                         ShardMode::kSectors, 4));
-  EXPECT_EQ(outcome_only(rr.last_task1), outcome_only(rx.last_task1));
-  EXPECT_EQ(outcome_only(rr.last_task23), outcome_only(rx.last_task23));
+  EXPECT_EQ(rr.last_task1.outcome(), rx.last_task1.outcome());
+  EXPECT_EQ(rr.last_task23.outcome(), rx.last_task23.outcome());
   EXPECT_TRUE(ref.state().same_flight_state(xeon.state()));
 }
 
@@ -152,7 +132,7 @@ TEST(SectorEquivalence, RetryPassesRebuildThePartitionIdentically) {
   EXPECT_GT(rb.last_task1.passes, 1) << "scenario no longer retries; the "
                                         "multi-pass sharded path is untested";
   EXPECT_EQ(rb.last_task1.passes, rs.last_task1.passes);
-  EXPECT_EQ(outcome_only(rb.last_task1), outcome_only(rs.last_task1));
+  EXPECT_EQ(rb.last_task1.outcome(), rs.last_task1.outcome());
   EXPECT_TRUE(base.state().same_flight_state(shard.state()));
 }
 
@@ -198,8 +178,8 @@ TEST(SectorEquivalence, BoundaryClusterAtSectorSeamsStaysIdentical) {
   EXPECT_GT(wraps, 0u) << "no aircraft wrapped; the re-entry case is dead";
   EXPECT_GT(rb.last_task23.conflicts, 0u)
       << "cluster produced no conflicts; the seam case is dead";
-  EXPECT_EQ(outcome_only(rb.last_task1), outcome_only(rs.last_task1));
-  EXPECT_EQ(outcome_only(rb.last_task23), outcome_only(rs.last_task23));
+  EXPECT_EQ(rb.last_task1.outcome(), rs.last_task1.outcome());
+  EXPECT_EQ(rb.last_task23.outcome(), rs.last_task23.outcome());
   EXPECT_TRUE(base.state().same_flight_state(shard.state()));
 }
 

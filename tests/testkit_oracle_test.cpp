@@ -1,9 +1,11 @@
 // Differential oracle (src/testkit/oracle.hpp): clean forged cases pass
-// every probe, the outcome projection strips exactly the work counters,
-// and the comparison machinery actually catches a buggy backend — the
-// planted fleet off-by-one shim must light up, or the whole differential
-// harness is vacuous.
+// every probe, outcome() compares exactly the outcome counters, and the
+// comparison machinery actually catches a buggy backend — the planted
+// fleet off-by-one shim must light up, or the whole differential harness
+// is vacuous.
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 #include "src/atm/pipeline.hpp"
 #include "src/atm/reference_backend.hpp"
@@ -46,42 +48,56 @@ TEST(OracleTest, ProbesCanBeDisabledIndividually) {
   EXPECT_EQ(report.runs, 1);  // baseline only
 }
 
-TEST(OracleTest, OutcomeProjectionStripsWorkCountersOnly) {
+TEST(OracleTest, OutcomeComparesOutcomeFieldsOnly) {
+  // Work differs by backend and strategy; outcome() must not see it.
   tasks::Task1Stats t1;
   t1.matched = 7;
-  t1.box_tests = 123;
-  t1.sectors = 4;
-  t1.halo_candidates = 9;
-  t1.kernel = 1;
-  t1.lanes_masked = 3;
-  const tasks::Task1Stats p1 = outcome_only(t1);
-  EXPECT_EQ(p1.matched, 7u);
-  EXPECT_EQ(p1.box_tests, 0u);
-  EXPECT_EQ(p1.sectors, 0);
-  EXPECT_EQ(p1.halo_candidates, 0u);
-  EXPECT_EQ(p1.kernel, -1);
-  EXPECT_EQ(p1.lanes_masked, 0u);
+  t1.passes = 2;
+  tasks::Task1Stats t1_work = t1;
+  t1_work.box_tests = 123;
+  t1_work.sectors = 4;
+  t1_work.halo_candidates = 9;
+  t1_work.kernel = 1;
+  t1_work.lanes_masked = 3;
+  EXPECT_EQ(t1_work.outcome(), t1.outcome());
+  EXPECT_NE(t1_work, t1);
+  tasks::Task1Stats t1_outcome = t1;
+  t1_outcome.passes = 3;
+  EXPECT_NE(t1_outcome.outcome(), t1.outcome());
 
   tasks::Task23Stats t23;
   t23.conflicts = 5;
   t23.critical = 2;
-  t23.resolved = 1;
-  t23.pair_tests = 999;
-  t23.pair_candidates = 888;
-  t23.rescans = 7;
-  t23.sectors = 16;
-  t23.halo_candidates = 4;
-  t23.kernel = 0;
-  t23.lanes_masked = 2;
-  const tasks::Task23Stats p23 = outcome_only(t23);
-  EXPECT_EQ(p23.conflicts, 5u);
-  EXPECT_EQ(p23.critical, 2u);
-  EXPECT_EQ(p23.resolved, 1u);
-  EXPECT_EQ(p23.pair_tests, 0u);
-  EXPECT_EQ(p23.pair_candidates, 0u);
-  EXPECT_EQ(p23.rescans, 0u);
-  EXPECT_EQ(p23.sectors, 0);
-  EXPECT_EQ(p23.kernel, -1);
+  tasks::Task23Stats t23_work = t23;
+  t23_work.pair_tests = 999;
+  t23_work.pair_candidates = 888;
+  t23_work.rescans = 7;
+  t23_work.sectors = 16;
+  t23_work.halo_candidates = 4;
+  t23_work.kernel = 0;
+  t23_work.lanes_masked = 2;
+  EXPECT_EQ(t23_work.outcome(), t23.outcome());
+  EXPECT_NE(t23_work, t23);
+  tasks::Task23Stats t23_outcome = t23;
+  t23_outcome.unresolved = 1;
+  EXPECT_NE(t23_outcome.outcome(), t23.outcome());
+
+  tasks::MultiRadarStats multi;
+  multi.returns = 12;
+  tasks::MultiRadarStats multi_work = multi;
+  multi_work.box_tests = 40;
+  EXPECT_EQ(multi_work.outcome(), multi.outcome());
+  EXPECT_NE(multi_work, multi);
+  tasks::MultiRadarStats multi_outcome = multi;
+  multi_outcome.redundant_returns = 1;
+  EXPECT_NE(multi_outcome.outcome(), multi.outcome());
+
+  // The printed outcome names every field, so a divergence report does.
+  std::ostringstream out;
+  out << t1.outcome();
+  EXPECT_EQ(out.str(),
+            "radars=0 matched=7 discarded_radars=0 unmatched_radars=0 "
+            "ambiguous_aircraft=0 updated_aircraft=0 passes=2");
 }
 
 TEST(OracleTest, CompareRunsAcceptsARunAgainstItself) {

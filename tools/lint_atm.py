@@ -64,6 +64,14 @@ followed by a reason):
                         neither, and silently breaks non-x86 or
                         ATM_HOST_SIMD=OFF builds. Call the kernel API
                         (src/core/kern/kernels.hpp) instead.
+  outcome-strip         no code in src/, tests/ or bench/ may assign the
+                        literal 0 to a work counter (.box_tests,
+                        .pair_tests, .pair_candidates, .rescans,
+                        .halo_candidates, .lanes_masked, .sectors) or -1
+                        to .kernel: that is the shape of a hand-written
+                        "same outcome" list, which goes stale the day a
+                        field is added. Compare `stats.outcome()`, the
+                        one definition of the outcome (task_types.hpp).
 
 Usage:
   lint_atm.py [ROOT]    lint ROOT (default: repo root containing tools/)
@@ -91,6 +99,7 @@ RULES = (
     "scenario-configs",
     "sync-wrapper",
     "intrinsics-containment",
+    "outcome-strip",
 )
 
 # --- units-suffix vocabulary -------------------------------------------------
@@ -143,6 +152,13 @@ SIMD_INTRINSIC = re.compile(
     r"#\s*include\s*<\w*intrin\.h>"
     r"|\b_mm\d{0,3}_\w+"
     r"|\b__m\d{2,3}[di]?\b")
+
+#: A work counter reset to its default (outcome-strip): the shape of every
+#: hand-written outcome projection. `==` and `<=` do not match.
+OUTCOME_STRIP = re.compile(
+    r"\.(box_tests|pair_tests|pair_candidates|rescans|halo_candidates|"
+    r"lanes_masked|sectors)\s*=\s*0(?![\w.])"
+    r"|\.kernel\s*=\s*-1(?![\w.])")
 
 
 class Violation:
@@ -338,6 +354,20 @@ def check_intrinsics_containment(path: Path, text: str) -> list[Violation]:
     return out
 
 
+def check_outcome_strip(path: Path, text: str) -> list[Violation]:
+    out: list[Violation] = []
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        code = line.split("//", 1)[0]
+        m = OUTCOME_STRIP.search(code)
+        if m and not _waived(lines, i, "outcome-strip"):
+            out.append(Violation(
+                "outcome-strip", path, i + 1,
+                f"work counter reset '{m.group(0).strip()}': compare "
+                "stats.outcome() instead of stripping the work fields"))
+    return out
+
+
 def check_backend_registration(src: Path) -> list[Violation]:
     platforms = src / "atm" / "platforms.cpp"
     if not platforms.is_file():
@@ -378,7 +408,13 @@ def lint(root: Path) -> list[Violation]:
         violations += check_nolint_reason(path, text)
         violations += check_sync_wrapper(path, text)
         violations += check_intrinsics_containment(path, text)
+        violations += check_outcome_strip(path, text)
     violations += check_backend_registration(src)
+    tests = root / "tests"
+    if tests.is_dir():
+        for path in sorted(tests.rglob("*.cpp")):
+            violations += check_outcome_strip(
+                path, path.read_text(encoding="utf-8"))
     examples = root / "examples"
     if examples.is_dir():
         for path in sorted(examples.rglob("*.cpp")):
@@ -394,6 +430,7 @@ def lint(root: Path) -> list[Violation]:
             violations += check_scenario_configs(path, text,
                                                  handrolled=False)
             violations += check_intrinsics_containment(path, text)
+            violations += check_outcome_strip(path, text)
     return violations
 
 
@@ -429,6 +466,15 @@ int main() {
   s.policy.governor.enabled = true;
   tasks::PipelineConfig cfg = tasks::make_pipeline_config(s);
   bool brute = cfg.task1.broadphase == core::spatial::kBruteForce;
+}
+""",
+    # Comparing or counting work is fine; only a reset to the default is
+    # the shape of an outcome strip.
+    "tests/good_equivalence_test.cpp": """
+TEST(Good, SameOutcome) {
+  EXPECT_EQ(a.stats.outcome(), b.stats.outcome());
+  EXPECT_EQ(b.stats.sectors == 0, true);
+  work.box_tests = eligible;
 }
 """,
     # The wrapper layer itself may (must) name the raw types...
@@ -501,6 +547,12 @@ class BadSink {
   std::mutex m_;
 };
 """,
+    "tests/bad_equivalence_test.cpp": """
+Task1Stats strip(Task1Stats s) {
+  s.box_tests = 0;
+  return s;
+}
+""",
     "src/atm/bad_simd.cpp": """
 #include <immintrin.h>
 double sum4(const double* p) {
@@ -533,6 +585,7 @@ def self_test() -> int:
             "sync-wrapper": 1,        # raw std::mutex outside core/sync
             # immintrin.h include + __m256d use, outside core/kern
             "intrinsics-containment": 2,
+            "outcome-strip": 1,       # s.box_tests = 0 in a test
         }
         ok = by_rule == want
         if not ok:
