@@ -40,55 +40,113 @@ struct DetectOutcome {
   std::int32_t partner = -1;  ///< Aircraft id of the soonest conflict.
 };
 
-/// Work counters accumulated by the detection scan. These describe how
-/// much work an execution did, not what it concluded; the two broadphase
-/// modes legitimately differ here while agreeing on every DetectOutcome.
+/// Work counters accumulated by the detection scan and the trial checks.
+/// These describe how much work an execution did, not what it concluded;
+/// the two broadphase modes legitimately differ here while agreeing on
+/// every DetectOutcome.
 struct ScanWork {
   std::uint64_t pair_candidates = 0;  ///< Pairs enumerated (pre-gate).
   std::uint64_t pair_tests = 0;       ///< Batcher tests (post-gate).
   std::uint64_t lanes_masked = 0;     ///< SIMD tail lanes masked off.
 };
 
-/// Reusable per-scan buffers: one block of kernel output. Thread-confined
-/// — every concurrent scanner (MIMD worker, sector task) owns its own.
+/// The partners of one aircraft that pass the altitude gate, copied out
+/// of a scan region in the order its scan enumerates them: the lanes
+/// Task 3's trials read (TrialScan). `slot` and `rank` keep their length
+/// from build to build; their first lanes.size() entries are the list.
+struct GateList {
+  core::spatial::SweptQuery box;   ///< The index query it was built for.
+  std::uint64_t candidates = 0;    ///< Non-self lanes that query enumerates.
+  core::kern::SoaSnapshot lanes;   ///< The passers' motion state.
+  std::vector<std::int32_t> slot;  ///< Their region slots.
+  std::vector<std::uint32_t> rank; ///< Non-self lanes enumerated up to and
+                                   ///< including each passer (< 2^31:
+                                   ///< slots are int32).
+};
+
+/// Reusable scan buffers: one block of kernel output and the gate list.
+/// Thread-confined — every concurrent scanner (each pool worker) owns its
+/// own.
 struct ScanScratch {
   core::kern::AlignedVector<double> tmin;  ///< Kernel block output.
   std::vector<std::uint8_t> flags;         ///< Kernel block output.
+  GateList gates;                          ///< TrialScan's lanes.
 };
 
-/// Scan one track (position (xi, yi, alti), velocity (vx, vy)) against
-/// aircraft slots in `view` through the band-intersection batch kernel.
-/// This is the single detection scan every host path runs:
+/// A Tasks 2+3 scan region: a gathered snapshot (the whole FlightDb, or
+/// one sector's owned + halo records), its slot -> aircraft id map and,
+/// under kGrid, the swept index it was gathered for.
 ///
-///  * `view` is a gathered snapshot (the whole FlightDb, or one sector's
-///    owned + halo buffers);
-///  * `ids[slot]` maps a view slot to its aircraft id (nullptr = slots
-///    are the ids); `self` is excluded by id, and DetectOutcome.partner
-///    is reported as an id;
-///  * without an `index` the scan reads every slot, in slot order;
+///  * `ids` null: the slots are the ids;
 ///  * with an `index`, `view` must be gathered in `index->order()` (slot
 ///    k = bucket position k, so `ids` composes the order with the
-///    snapshot's own slot -> id map). The scan then reads only the
-///    index's runs, each a contiguous slot range, in for_each_run order
-///    — the order for_each_candidate visits ids in;
-///  * when `stop_at_critical` is set the scan consumes lanes (in that
-///    order, blockwise) only up to the first critical conflict — the work
-///    counters tally exactly the consumed lanes, so they match the
-///    historical one-at-a-time early exit, and the MIMD model, which
-///    charges them, sees the same work.
+///    snapshot's own slot -> id map). Scans then read only the index's
+///    runs, each a contiguous slot range, in for_each_run order — the
+///    order for_each_candidate visits ids in. Without one they read every
+///    slot, in slot order.
+struct ScanRegion {
+  core::kern::SoaView view;
+  const std::int32_t* ids = nullptr;
+  const core::spatial::SweptIndex* index = nullptr;
+};
+
+/// Task 2's scan of one track (position (xi, yi, alti), velocity (vx, vy))
+/// against `region` through the band-intersection batch kernel: the
+/// single detection scan every host path runs. `self` is excluded by id,
+/// and DetectOutcome.partner is reported as an id. The work counters
+/// tally every lane the scan reads.
 ///
 /// The soonest conflict is selected with an explicit (time_min, partner
 /// id) tie-break, so the outcome is independent of enumeration order and
 /// identical with and without an index — and bit-identical across
 /// kernels (docs/PERF.md).
-DetectOutcome scan_candidates(const core::kern::SoaView& view,
-                              const std::int32_t* ids, std::int32_t self,
+DetectOutcome scan_candidates(const ScanRegion& region, std::int32_t self,
                               double xi, double yi, double alti, double vx,
                               double vy, const Task23Params& params,
                               core::kern::Kernel kernel, ScanWork& work,
-                              bool stop_at_critical,
-                              const core::spatial::SweptIndex* index,
                               ScanScratch& scratch);
+
+/// Task 3's trial checks for aircraft `self` at (xi, yi, alti), whose
+/// detection found a critical conflict (Algorithm 2 lines 5-11): does a
+/// trial path meet a critical conflict against everyone's original path
+/// in `region`? One TrialScan serves every trial rotation of one
+/// aircraft; it keeps its gate list in `scratch`.
+///
+/// A check reads the lanes scan_candidates would, in the same order, up
+/// to the first critical conflict, and adds the same pair_candidates and
+/// pair_tests — but its kernel reads only the gate list:
+///
+///  * the list holds the lanes that pass the altitude gate, self
+///    excluded, each with its rank. The gate depends on altitude only,
+///    and the kernel flags a conflict only on a gate-passing lane, so no
+///    lane outside the list can conflict under any heading;
+///  * the first check builds it. Under kGrid it is tagged with the index
+///    query it was built for, and a check whose query differs (a speed
+///    that rounds to other cells) rebuilds it first;
+///  * a check that stops at list entry k adds rank[k] candidates and
+///    k + 1 tests; one that clears adds the list's candidate count and
+///    its length.
+class TrialScan {
+ public:
+  TrialScan(const ScanRegion& region, std::int32_t self, double xi,
+            double yi, double alti, const Task23Params& params,
+            core::kern::Kernel kernel, ScanScratch& scratch);
+
+  /// True when the trial path (vx, vy) meets a critical conflict.
+  [[nodiscard]] bool critical(double vx, double vy, ScanWork& work);
+
+ private:
+  void build(const core::spatial::SweptQuery& box);
+
+  ScanRegion region_;
+  std::int32_t self_;
+  double xi_, yi_, alti_;
+  core::kern::BandParams band_;
+  double critical_periods_;
+  core::kern::Kernel kernel_;
+  ScanScratch& scratch_;
+  bool built_ = false;
+};
 
 /// Convenience oracle form over a FlightDb: gathers a throwaway snapshot
 /// (in `index`'s bucket order when one is given; the index must be built
@@ -98,7 +156,6 @@ DetectOutcome scan_candidates(const core::kern::SoaView& view,
 DetectOutcome scan_against_all(const airfield::FlightDb& db, std::size_t i,
                                double vx, double vy,
                                const Task23Params& params, ScanWork& work,
-                               bool stop_at_critical,
                                const core::spatial::SweptIndex* index =
                                    nullptr);
 
@@ -111,7 +168,8 @@ DetectOutcome scan_against_all(const airfield::FlightDb& db, std::size_t i,
 /// using swept_index_params(params). The index stays valid for every scan
 /// of the run (detection and trial rotations): detect_and_resolve never
 /// moves an aircraft before the commit phase, and a trial rotation
-/// preserves the speed the query expands by.
+/// preserves the speed the query expands by (up to rounding, which
+/// TrialScan's query tag covers).
 void build_swept_index(const airfield::FlightDb& db,
                        const Task23Params& params,
                        core::spatial::SweptIndex& index);

@@ -113,21 +113,13 @@ void cover_radar(const CoverRegion& region, const airfield::RadarFrame& frame,
   }
 }
 
-/// A Tasks 2+3 scan region: a snapshot view, its slot -> aircraft id map
-/// (null: the slot is the id) and, under kGrid, the swept index whose
-/// bucket order the snapshot was gathered in.
-struct ScanRegion {
-  core::kern::SoaView view;
-  const std::int32_t* ids;
-  const core::spatial::SweptIndex* index;
-};
-
 /// One Tasks 2+3 task's counts, summed after the join; one cache line per
 /// task, as CoverTally.
 struct alignas(64) ResolveTally {
   std::uint64_t conflicts = 0, critical = 0, resolved = 0, unresolved = 0;
   std::uint64_t rescans = 0;
-  std::uint64_t reads = 0;  ///< Region slots the scans swept.
+  std::uint64_t reads = 0;  ///< Region slots [13]'s scans read: the
+                            ///< whole region per detection and per trial.
   reference::ScanWork work;
 };
 
@@ -137,20 +129,19 @@ struct alignas(64) ResolveTally {
 /// id's own record and resolved flag only.
 void detect_and_resolve_one(airfield::FlightDb& db,
                             std::vector<std::uint8_t>& resolved,
-                            std::int32_t id, const ScanRegion& region,
+                            std::int32_t id,
+                            const reference::ScanRegion& region,
                             const Task23Params& params,
-                            core::kern::Kernel kernel,
-                            reference::ScanScratch& scan, ResolveTally& t) {
+                            core::kern::Kernel kernel, ResolveTally& t) {
   const auto i = static_cast<std::size_t>(id);
-  const auto detect = [&](double vx, double vy, bool stop_at_critical) {
-    t.reads += region.view.n;
-    return reference::scan_candidates(region.view, region.ids, id, db.x[i],
-                                      db.y[i], db.alt[i], vx, vy, params,
-                                      kernel, t.work, stop_at_critical,
-                                      region.index, scan);
-  };
-  const reference::DetectOutcome det =
-      detect(db.dx[i], db.dy[i], /*stop_at_critical=*/false);
+  // The calling pool worker's scan buffers, shared by every task it runs
+  // in either shard mode (the pool has no worker ids; thread_local
+  // buffers persist across tasks and runs).
+  thread_local reference::ScanScratch scan;
+  t.reads += region.view.n;
+  const reference::DetectOutcome det = reference::scan_candidates(
+      region, id, db.x[i], db.y[i], db.alt[i], db.dx[i], db.dy[i], params,
+      kernel, t.work, scan);
   if (det.conflict) {
     ++t.conflicts;
     db.col[i] = 1;
@@ -159,13 +150,18 @@ void detect_and_resolve_one(airfield::FlightDb& db,
   }
   if (!det.critical) return;
   ++t.critical;
+  reference::TrialScan trials(region, id, db.x[i], db.y[i], db.alt[i],
+                              params, kernel, scan);
   const core::Vec2 vel{db.dx[i], db.dy[i]};
   const int attempts = reference::max_trial_attempts(params);
   for (int attempt = 0; attempt < attempts; ++attempt) {
     const core::Vec2 trial = core::rotate_deg(
         vel, reference::trial_angle_deg(attempt, params.turn_step_deg));
     ++t.rescans;
-    if (!detect(trial.x, trial.y, /*stop_at_critical=*/true).critical) {
+    // [13] rescans the whole region per trial, and the model charges that
+    // read although the host reads only the gate list.
+    t.reads += region.view.n;
+    if (!trials.critical(trial.x, trial.y, t.work)) {
       db.batx[i] = trial.x;
       db.baty[i] = trial.y;
       resolved[i] = 1;
@@ -441,7 +437,7 @@ Task23Stats detect_and_resolve(airfield::FlightDb& db,
   if (sectors == 0) {
     // One serially gathered snapshot of every aircraft (in the swept
     // index's bucket order under kGrid), scanned read-only by every task.
-    ScanRegion region{{}, nullptr, nullptr};
+    reference::ScanRegion region;
     if (use_index) {
       reference::build_swept_index(db, params, scratch.swept);
       scratch.snap.gather(db, scratch.swept.order());
@@ -452,12 +448,11 @@ Task23Stats detect_and_resolve(airfield::FlightDb& db,
     }
     region.view = scratch.snap.view();
     pool.parallel_for(0, tally.size(), 1, [&](std::size_t task) {
-      thread_local reference::ScanScratch scan;
       const std::size_t end = std::min(n, (task + 1) * kAircraftChunk);
       for (std::size_t i = task * kAircraftChunk; i < end; ++i) {
         detect_and_resolve_one(db, scratch.resolved,
                                static_cast<std::int32_t>(i), region, params,
-                               kernel, scan, tally[task]);
+                               kernel, tally[task]);
       }
     });
   } else {
@@ -501,11 +496,11 @@ Task23Stats detect_and_resolve(airfield::FlightDb& db,
         }
         buf.snap.gather(db, buf.id);
       }
-      const ScanRegion region{buf.snap.view(), buf.id.data(),
-                              use_index ? &buf.swept : nullptr};
+      const reference::ScanRegion region{buf.snap.view(), buf.id.data(),
+                                         use_index ? &buf.swept : nullptr};
       for (const std::int32_t id : owned) {
         detect_and_resolve_one(db, scratch.resolved, id, region, params,
-                               kernel, buf.scan, tally[s]);
+                               kernel, tally[s]);
       }
     });
   }

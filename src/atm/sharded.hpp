@@ -101,7 +101,6 @@ struct ShardScratch {
     std::vector<std::int32_t> id;           ///< Global ids of the snapshot.
     std::vector<std::int32_t> cand;         ///< Task 1 grid candidates.
     std::vector<std::int32_t> hits;         ///< Task 1 kernel hit output.
-    reference::ScanScratch scan;            ///< Tasks 2+3 scan buffers.
     core::spatial::SweptIndex swept;
     core::spatial::UniformGrid2D grid;
   };

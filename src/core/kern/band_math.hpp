@@ -109,11 +109,12 @@ struct PairWindow {
 }
 
 /// Altitude proximity gate of Algorithm 2 line 3: pairs further apart
-/// than `gate_feet` vertically are not in conflict.
+/// than `gate_feet` vertically are not in conflict. std::fabs clears the
+/// sign bit, as the AVX2 kernel's abs does, and compiles without a branch
+/// (the gate splits pairs unpredictably, so a branch mispredicts often).
 [[nodiscard]] inline bool altitude_gate_pass(double alt_a, double alt_b,
                                              double gate_feet) {
-  const double d = alt_a - alt_b;
-  return (d < 0 ? -d : d) < gate_feet;
+  return std::fabs(alt_a - alt_b) < gate_feet;
 }
 
 }  // namespace atm::core::kern

@@ -76,12 +76,15 @@ void check_resolved(Kernel kernel) {
 
 }  // namespace
 
+// `lanes_masked` is unused when the build compiles the AVX2 kernels out
+// (ATM_HOST_SIMD=OFF): the scalar kernels mask no lanes.
+
 std::size_t box_test_batch(Kernel kernel, const double* ex,
                            const double* ey, std::size_t n,
                            const std::uint8_t* eligible, double cx,
                            double cy, double half_nm,
                            std::int32_t* out_hits,
-                           std::uint64_t* lanes_masked) {
+                           [[maybe_unused]] std::uint64_t* lanes_masked) {
   check_resolved(kernel);
 #if defined(ATM_HOST_SIMD_AVX2)
   if (kernel == Kernel::kAvx2) {
@@ -98,7 +101,8 @@ std::size_t box_test_batch_indexed(Kernel kernel, const double* ex,
                                    const std::int32_t* idx, std::size_t m,
                                    double cx, double cy, double half_nm,
                                    std::int32_t* out_hits,
-                                   std::uint64_t* lanes_masked) {
+                                   [[maybe_unused]] std::uint64_t*
+                                       lanes_masked) {
   check_resolved(kernel);
 #if defined(ATM_HOST_SIMD_AVX2)
   if (kernel == Kernel::kAvx2) {
@@ -115,7 +119,7 @@ void band_intersect_batch(Kernel kernel, const SoaView& view,
                           double xi, double yi, double alti, double vxi,
                           double vyi, const BandParams& params,
                           double* out_tmin, std::uint8_t* out_flags,
-                          std::uint64_t* lanes_masked) {
+                          [[maybe_unused]] std::uint64_t* lanes_masked) {
   check_resolved(kernel);
 #if defined(ATM_HOST_SIMD_AVX2)
   if (kernel == Kernel::kAvx2) {

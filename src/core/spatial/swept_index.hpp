@@ -37,6 +37,13 @@
 // with plain vector loads instead of one gather per candidate.
 // `for_each_candidate` visits exactly the ids of those runs, in order.
 //
+// Query boxes: `query` names the buckets a track reaches as a
+// SweptQuery, which depends on the speed only through `reach`. Two
+// queries of one track at speeds that round to the same cells compare
+// equal and enumerate the same runs, so a caller can keep per-box state
+// (the Task-3 gate list) and reuse it for every trial rotation whose box
+// has not changed.
+//
 // The index is immutable after build() and safe to query from many
 // threads concurrently (the MIMD backend does).
 #pragma once
@@ -61,6 +68,14 @@ struct SweptIndexParams {
   int max_cells_per_axis = 64;
 };
 
+/// The buckets one query reaches: columns [cx0, cx1] and rows [cy0, cy1]
+/// of slabs [s0, s1].
+struct SweptQuery {
+  int cx0 = 0, cx1 = -1, cy0 = 0, cy1 = -1, s0 = 0, s1 = -1;
+
+  friend bool operator==(const SweptQuery&, const SweptQuery&) = default;
+};
+
 class SweptIndex {
  public:
   /// Build from current positions, velocities (nm/period), and altitudes.
@@ -80,38 +95,49 @@ class SweptIndex {
   /// position k, the slots for_each_run reports.
   [[nodiscard]] std::span<const std::int32_t> order() const { return ids_; }
 
-  /// Visit the candidate buckets of a track starting at (xi, yi), altitude
-  /// alti, moving at `speed` nm/period in any direction, as contiguous
-  /// bucket-position ranges [begin, end): one per (slab, row) of the
-  /// query box, slab-major, empty ones skipped. The visitor returns true
-  /// to stop the enumeration early (the Task-3 trial check stops at the
-  /// first critical conflict).
-  template <typename Fn>
-  void for_each_run(double xi, double yi, double alti, double speed,
-                    Fn&& fn) const {
-    if (ids_.empty()) return;
+  /// The candidate buckets of a track starting at (xi, yi), altitude
+  /// alti, moving at `speed` nm/period in any direction. Empty (no runs)
+  /// when the index is.
+  [[nodiscard]] SweptQuery query(double xi, double yi, double alti,
+                                 double speed) const {
+    if (ids_.empty()) return {};
     const double reach = band_ + (speed + max_speed_) * horizon_;
-    const int cx0 = col_of(xi - reach);
-    const int cx1 = col_of(xi + reach);
-    const int cy0 = row_of(yi - reach);
-    const int cy1 = row_of(yi + reach);
     const int s = slab_of(alti);
-    const int s0 = s > 0 ? s - 1 : 0;
-    const int s1 = s < slabs_ - 1 ? s + 1 : slabs_ - 1;
+    return {.cx0 = col_of(xi - reach),
+            .cx1 = col_of(xi + reach),
+            .cy0 = row_of(yi - reach),
+            .cy1 = row_of(yi + reach),
+            .s0 = s > 0 ? s - 1 : 0,
+            .s1 = s < slabs_ - 1 ? s + 1 : slabs_ - 1};
+  }
+
+  /// Visit the buckets of `q`, a query() of this index, as contiguous
+  /// bucket-position ranges [begin, end): one per (slab, row) of the box,
+  /// slab-major, empty ones skipped. The visitor returns true to stop the
+  /// enumeration early.
+  template <typename Fn>
+  void for_each_run(const SweptQuery& q, Fn&& fn) const {
     const std::size_t slab_stride =
         static_cast<std::size_t>(cols_) * static_cast<std::size_t>(rows_);
-    for (int si = s0; si <= s1; ++si) {
-      for (int cy = cy0; cy <= cy1; ++cy) {
+    for (int si = q.s0; si <= q.s1; ++si) {
+      for (int cy = q.cy0; cy <= q.cy1; ++cy) {
         const std::size_t row =
             static_cast<std::size_t>(si) * slab_stride +
             static_cast<std::size_t>(cy) * static_cast<std::size_t>(cols_);
         const auto begin = static_cast<std::size_t>(
-            cell_start_[row + static_cast<std::size_t>(cx0)]);
+            cell_start_[row + static_cast<std::size_t>(q.cx0)]);
         const auto end = static_cast<std::size_t>(
-            cell_start_[row + static_cast<std::size_t>(cx1) + 1]);
+            cell_start_[row + static_cast<std::size_t>(q.cx1) + 1]);
         if (begin < end && fn(begin, end)) return;
       }
     }
+  }
+
+  /// for_each_run over query(xi, yi, alti, speed).
+  template <typename Fn>
+  void for_each_run(double xi, double yi, double alti, double speed,
+                    Fn&& fn) const {
+    for_each_run(query(xi, yi, alti, speed), fn);
   }
 
   /// The ids of for_each_run's runs, one at a time and in the same order.

@@ -302,7 +302,7 @@ void check_broadphase_soundness(const ForgedCase& c, OracleReport& report) {
     tasks::reference::ScanWork work;
     const tasks::reference::DetectOutcome brute =
         tasks::reference::scan_against_all(db, i, db.dx[i], db.dy[i],
-                                           c.scenario.task23, work, false);
+                                           c.scenario.task23, work);
     if (!brute.conflict) continue;
     const double speed = std::hypot(db.dx[i], db.dy[i]);
     bool found = false;

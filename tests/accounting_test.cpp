@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <string>
 
 #include "src/airfield/setup.hpp"
@@ -13,6 +14,8 @@
 #include "src/atm/mimd_backend.hpp"
 #include "src/atm/pipeline.hpp"
 #include "src/atm/platforms.hpp"
+#include "src/atm/reference_backend.hpp"
+#include "src/atm/scenarios.hpp"
 
 namespace atm::tasks {
 namespace {
@@ -225,6 +228,68 @@ TEST(Accounting, XeonTaskInputsArePinnedOverEveryHostStrategy) {
       EXPECT_EQ(work.locked_ops,
                 work.inner_ops + r.stats.conflicts + r.stats.resolved);
     }
+  }
+}
+
+TEST(Accounting, Task23WorkIsPinnedOverEveryHostPath) {
+  // One Tasks 2+3 run on a 1500-aircraft dense-en-route fleet over every
+  // host path: the sequential reference (brute, grid), the reference's
+  // sharded run on the pool executor (grid 4x4) and the MIMD backend
+  // (brute, grid, grid 4x4). The bench per-layer metrics and the trace
+  // read these counters, so they are pinned: they must not move when the
+  // host execution changes.
+  using core::spatial::BroadphaseMode;
+  using core::spatial::ShardMode;
+  struct Pinned {
+    std::uint64_t pair_candidates, pair_tests, rescans;
+  };
+  struct Case {
+    const char* name;
+    bool mimd;
+    BroadphaseMode broadphase;
+    ShardMode shard;
+    Pinned work;
+  };
+  const std::array<Case, 6> cases{{
+      {"reference brute", false, BroadphaseMode::kBruteForce,
+       ShardMode::kNone, {5932381, 954966, 5517}},
+      {"reference grid", false, BroadphaseMode::kGrid, ShardMode::kNone,
+       {1446134, 961866, 5517}},
+      {"reference grid 4x4", false, BroadphaseMode::kGrid,
+       ShardMode::kSectors, {1446134, 961866, 5517}},
+      {"mimd brute", true, BroadphaseMode::kBruteForce, ShardMode::kNone,
+       {5932381, 954966, 5517}},
+      {"mimd grid", true, BroadphaseMode::kGrid, ShardMode::kNone,
+       {1446134, 961866, 5517}},
+      {"mimd grid 4x4", true, BroadphaseMode::kGrid, ShardMode::kSectors,
+       {1446134, 961866, 5517}},
+  }};
+  const Task23Outcome outcome{.aircraft = 1500,
+                              .conflicts = 1277,
+                              .critical = 669,
+                              .resolved = 352,
+                              .unresolved = 317};
+  const Scenario scenario = dense_en_route();
+  const airfield::FlightDb fleet =
+      airfield::make_airfield(1500, 7, scenario.setup);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::unique_ptr<Backend> backend;
+    if (c.mimd) {
+      backend = std::make_unique<MimdBackend>();
+    } else {
+      backend = std::make_unique<ReferenceBackend>();
+    }
+    backend->load(fleet);
+    Task23Params params = scenario.task23;
+    params.broadphase = c.broadphase;
+    params.shard = c.shard;
+    params.sectors_per_axis = 4;
+    const Task23Stats stats = backend->run_task23(params).stats;
+    EXPECT_EQ(stats.outcome(), outcome);
+    EXPECT_EQ(stats.pair_candidates, c.work.pair_candidates);
+    EXPECT_EQ(stats.pair_tests, c.work.pair_tests);
+    EXPECT_EQ(stats.rescans, c.work.rescans);
   }
 }
 

@@ -34,92 +34,141 @@ PipelineConfig config_with_mode(const Scenario& scenario,
 class BroadphaseEquivalenceTest : public ::testing::TestWithParam<Scenario> {
 };
 
-/// The one-at-a-time grid scan, written against band_math.hpp directly:
-/// visit for_each_candidate's ids in order, skip self, count the
-/// candidate, apply the altitude gate, count the test, run the pair test,
-/// stop at the first critical conflict when asked. The counters it
-/// produces are what the MIMD model charges under kGrid.
+/// The one-at-a-time scan, written against band_math.hpp directly: visit
+/// for_each_candidate's ids in order (ids 0..n-1 without an index), skip
+/// self, count the candidate, apply the altitude gate, count the test,
+/// run the pair test, stop at the first critical conflict when asked. The
+/// counters it produces are what the MIMD model charges under kGrid.
 reference::DetectOutcome one_at_a_time(const airfield::FlightDb& db,
-                                       const core::spatial::SweptIndex& index,
+                                       const core::spatial::SweptIndex* index,
                                        std::size_t i, double vx, double vy,
                                        const Task23Params& p, bool stop,
                                        reference::ScanWork& work) {
   reference::DetectOutcome out;
   double soonest = p.horizon_periods + 1.0;
-  index.for_each_candidate(
-      db.x[i], db.y[i], db.alt[i], std::sqrt(vx * vx + vy * vy),
-      [&](std::size_t j) {
-        if (j == i) return false;
-        ++work.pair_candidates;
-        if (!core::kern::altitude_gate_pass(db.alt[i], db.alt[j],
-                                            p.altitude_gate_feet)) {
-          return false;
-        }
-        ++work.pair_tests;
-        const core::kern::PairWindow w = core::kern::pair_band_test(
-            db.x[j] - db.x[i], db.y[j] - db.y[i], db.dx[j] - vx,
-            db.dy[j] - vy, p.band_nm, p.horizon_periods);
-        if (!w.conflict) return false;
-        out.conflict = true;
-        const auto id = static_cast<std::int32_t>(j);
-        if (w.time_min < soonest ||
-            (w.time_min == soonest && id < out.partner)) {
-          soonest = w.time_min;
-          out.partner = id;
-          out.time_min = w.time_min;
-        }
-        if (w.time_min < p.critical_periods) {
-          out.critical = true;
-          return stop;
-        }
-        return false;
-      });
+  const auto visit = [&](std::size_t j) {
+    if (j == i) return false;
+    ++work.pair_candidates;
+    if (!core::kern::altitude_gate_pass(db.alt[i], db.alt[j],
+                                        p.altitude_gate_feet)) {
+      return false;
+    }
+    ++work.pair_tests;
+    const core::kern::PairWindow w = core::kern::pair_band_test(
+        db.x[j] - db.x[i], db.y[j] - db.y[i], db.dx[j] - vx, db.dy[j] - vy,
+        p.band_nm, p.horizon_periods);
+    if (!w.conflict) return false;
+    out.conflict = true;
+    const auto id = static_cast<std::int32_t>(j);
+    if (w.time_min < soonest || (w.time_min == soonest && id < out.partner)) {
+      soonest = w.time_min;
+      out.partner = id;
+      out.time_min = w.time_min;
+    }
+    if (w.time_min < p.critical_periods) {
+      out.critical = true;
+      return stop;
+    }
+    return false;
+  };
+  if (index != nullptr) {
+    index->for_each_candidate(db.x[i], db.y[i], db.alt[i],
+                              std::sqrt(vx * vx + vy * vy), visit);
+  } else {
+    for (std::size_t j = 0; j < db.size(); ++j) {
+      if (visit(j)) break;
+    }
+  }
   return out;
 }
 
-/// scan_candidates over the bucket-ordered snapshot against
-/// one_at_a_time for every aircraft's detection pass and, for critical
-/// ones, every Task-3 trial rotation. Returns how many scans stopped
-/// early, so callers can tell the early exit was exercised.
+/// The whole table as the task drivers scan it: gathered in the swept
+/// index's bucket order under kGrid, in slot order under brute force.
+struct WholeTable {
+  core::spatial::SweptIndex index;
+  core::kern::SoaSnapshot snap;
+  reference::ScanRegion region;
+
+  WholeTable(const airfield::FlightDb& db, const Task23Params& params,
+             BroadphaseMode mode) {
+    if (mode == BroadphaseMode::kGrid) {
+      reference::build_swept_index(db, params, index);
+      snap.gather(db, index.order());
+      region.ids = index.order().data();
+      region.index = &index;
+    } else {
+      snap.gather(db);
+    }
+    region.view = snap.view();
+  }
+  WholeTable(const WholeTable&) = delete;
+  WholeTable& operator=(const WholeTable&) = delete;
+};
+
+/// One trial check through the production TrialScan against
+/// one_at_a_time: the same `critical` and the same counters. Returns
+/// whether the trial stopped at a critical conflict.
+bool expect_trial_matches(reference::TrialScan& trials,
+                          const airfield::FlightDb& db,
+                          const core::spatial::SweptIndex* index,
+                          std::size_t i, double vx, double vy,
+                          const Task23Params& params,
+                          const std::string& where) {
+  reference::ScanWork got_work, want_work;
+  const bool got = trials.critical(vx, vy, got_work);
+  const reference::DetectOutcome want =
+      one_at_a_time(db, index, i, vx, vy, params, /*stop=*/true, want_work);
+  EXPECT_EQ(got, want.critical) << where << " aircraft " << i << " (trial)";
+  EXPECT_EQ(got_work.pair_candidates, want_work.pair_candidates)
+      << where << " aircraft " << i << " (trial)";
+  EXPECT_EQ(got_work.pair_tests, want_work.pair_tests)
+      << where << " aircraft " << i << " (trial)";
+  return want.critical;
+}
+
+/// scan_candidates against one_at_a_time for every aircraft's detection
+/// pass and, for critical ones, TrialScan against it for every Task-3
+/// trial rotation. Returns how many trials stopped early, so callers can
+/// tell the early exit was exercised.
 std::size_t expect_scan_lane_order(const airfield::FlightDb& db,
                                    const Task23Params& params,
+                                   BroadphaseMode mode,
                                    const std::string& where) {
-  core::spatial::SweptIndex index;
-  reference::build_swept_index(db, params, index);
-  core::kern::SoaSnapshot snap;
-  snap.gather(db, index.order());
+  const WholeTable table(db, params, mode);
+  const core::spatial::SweptIndex* index = table.region.index;
   const core::kern::Kernel kernel = core::kern::resolve(params.kernel);
   reference::ScanScratch scratch;
   std::size_t early_stops = 0;
 
-  const auto check = [&](std::size_t i, double vx, double vy, bool stop) {
+  const int attempts = reference::max_trial_attempts(params);
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    const auto self = static_cast<std::int32_t>(i);
     reference::ScanWork got_work, want_work;
     const reference::DetectOutcome got = reference::scan_candidates(
-        snap.view(), index.order().data(), static_cast<std::int32_t>(i),
-        db.x[i], db.y[i], db.alt[i], vx, vy, params, kernel, got_work, stop,
-        &index, scratch);
-    const reference::DetectOutcome want =
-        one_at_a_time(db, index, i, vx, vy, params, stop, want_work);
+        table.region, self, db.x[i], db.y[i], db.alt[i], db.dx[i], db.dy[i],
+        params, kernel, got_work, scratch);
+    const reference::DetectOutcome want = one_at_a_time(
+        db, index, i, db.dx[i], db.dy[i], params, /*stop=*/false, want_work);
     EXPECT_EQ(got.conflict, want.conflict) << where << " aircraft " << i;
     EXPECT_EQ(got.critical, want.critical) << where << " aircraft " << i;
     EXPECT_EQ(got.time_min, want.time_min) << where << " aircraft " << i;
     EXPECT_EQ(got.partner, want.partner) << where << " aircraft " << i;
     EXPECT_EQ(got_work.pair_candidates, want_work.pair_candidates)
-        << where << " aircraft " << i << (stop ? " (trial)" : "");
+        << where << " aircraft " << i;
     EXPECT_EQ(got_work.pair_tests, want_work.pair_tests)
-        << where << " aircraft " << i << (stop ? " (trial)" : "");
-    if (stop && want.critical) ++early_stops;
-    return want;
-  };
+        << where << " aircraft " << i;
+    if (!want.critical) continue;
 
-  const int attempts = reference::max_trial_attempts(params);
-  for (std::size_t i = 0; i < db.size(); ++i) {
-    if (!check(i, db.dx[i], db.dy[i], /*stop=*/false).critical) continue;
+    reference::TrialScan trials(table.region, self, db.x[i], db.y[i],
+                                db.alt[i], params, kernel, scratch);
     const core::Vec2 vel{db.dx[i], db.dy[i]};
     for (int attempt = 0; attempt < attempts; ++attempt) {
       const core::Vec2 trial = core::rotate_deg(
           vel, reference::trial_angle_deg(attempt, params.turn_step_deg));
-      check(i, trial.x, trial.y, /*stop=*/true);
+      if (expect_trial_matches(trials, db, index, i, trial.x, trial.y,
+                               params, where)) {
+        ++early_stops;
+      }
     }
   }
   return early_stops;
@@ -174,14 +223,28 @@ TEST_P(BroadphaseEquivalenceTest, GridMimdMatchesGridReference) {
 TEST_P(BroadphaseEquivalenceTest, ScanConsumesLanesInCandidateOrder) {
   // The equivalence tests above normalise pair_candidates / pair_tests
   // away, but under kGrid the MIMD model charges them: the bucket-ordered
-  // run scan must consume exactly the lanes the one-at-a-time candidate
-  // loop did, early exit included. (dense-en-route is the 3000-aircraft
-  // fleet of the bench workloads.)
+  // run scan and the gate-list trials must consume exactly the lanes the
+  // one-at-a-time candidate loop did, early exit included.
+  // (dense-en-route is the 3000-aircraft fleet of the bench workloads.)
   const Scenario& s = GetParam();
   const airfield::FlightDb db =
       airfield::make_airfield(s.default_aircraft, 42, s.setup);
   const std::size_t early_stops =
-      expect_scan_lane_order(db, s.task23, s.name);
+      expect_scan_lane_order(db, s.task23, BroadphaseMode::kGrid, s.name);
+  if (s.name == "dense-en-route") {
+    EXPECT_GT(early_stops, 0u) << "no trial scan stopped early";
+  }
+}
+
+TEST_P(BroadphaseEquivalenceTest, BruteScanConsumesLanesInSlotOrder) {
+  // The brute-force twin: the reference trace and the bench per-layer
+  // metrics read the same counters, so the slot-order scan and the
+  // gate-list trials must consume the lanes of the ascending id loop.
+  const Scenario& s = GetParam();
+  const airfield::FlightDb db =
+      airfield::make_airfield(s.default_aircraft, 42, s.setup);
+  const std::size_t early_stops = expect_scan_lane_order(
+      db, s.task23, BroadphaseMode::kBruteForce, s.name);
   if (s.name == "dense-en-route") {
     EXPECT_GT(early_stops, 0u) << "no trial scan stopped early";
   }
@@ -250,6 +313,44 @@ TEST(BroadphaseEquivalence, GridEdgeReentryAircraftStayIdentical) {
   EXPECT_EQ(rb.last_task1.outcome(), rg.last_task1.outcome());
   EXPECT_EQ(rb.last_task23.outcome(), rg.last_task23.outcome());
   EXPECT_TRUE(brute.state().same_flight_state(grid.state()));
+}
+
+TEST(BroadphaseEquivalence, TrialRebuildsItsGateListWhenTheQueryBoxChanges) {
+  // At a 2.5-minute horizon the swept grid has several cells per axis, so
+  // a faster trial velocity reaches other cells than the detection one:
+  // the list built for the first box must be rebuilt for the second (and
+  // back), and every check must still match one_at_a_time at its own
+  // velocity.
+  Scenario s = dense_en_route();
+  s.task23.horizon_periods = s.task23.critical_periods;
+  const airfield::FlightDb db = airfield::make_airfield(1500, 7, s.setup);
+  const WholeTable table(db, s.task23, BroadphaseMode::kGrid);
+  ASSERT_GT(table.index.cols(), 1);
+  const core::kern::Kernel kernel = core::kern::resolve(s.task23.kernel);
+  reference::ScanScratch scratch;
+  std::size_t rebuilds = 0;
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    const auto self = static_cast<std::int32_t>(i);
+    reference::ScanWork work;
+    if (!reference::scan_candidates(table.region, self, db.x[i], db.y[i],
+                                    db.alt[i], db.dx[i], db.dy[i], s.task23,
+                                    kernel, work, scratch)
+             .critical) {
+      continue;
+    }
+    const double speed = std::hypot(db.dx[i], db.dy[i]);
+    if (table.index.query(db.x[i], db.y[i], db.alt[i], speed) !=
+        table.index.query(db.x[i], db.y[i], db.alt[i], 3.0 * speed)) {
+      ++rebuilds;
+    }
+    reference::TrialScan trials(table.region, self, db.x[i], db.y[i],
+                                db.alt[i], s.task23, kernel, scratch);
+    for (const double scale : {1.0, 3.0, 1.0}) {
+      expect_trial_matches(trials, db, &table.index, i, scale * db.dx[i],
+                           scale * db.dy[i], s.task23, s.name);
+    }
+  }
+  EXPECT_GT(rebuilds, 0u) << "no faster trial reached another query box";
 }
 
 TEST(BroadphaseEquivalence, ScenarioModeReachesBothParamBundles) {

@@ -77,7 +77,7 @@ TEST_P(PipelinePropertyTest, ResolutionCommitsAreConflictFreeAtCommitTime) {
     if (!committed) continue;
     // Check the committed velocity against everyone's *original* path.
     const auto out = reference::scan_against_all(
-        before, i, db.dx[i], db.dy[i], Task23Params{}, work, true);
+        before, i, db.dx[i], db.dy[i], Task23Params{}, work);
     ASSERT_FALSE(out.critical)
         << "aircraft " << i << " committed a still-critical path (seed "
         << seed << ")";

@@ -68,8 +68,8 @@ TEST(Task23Reference, ResolvedPathsAreActuallyConflictFree) {
   // in *conflict* within 20 minutes (both turned 5 degrees the same way,
   // paths still cross) but must no longer be *critical*.
   ScanWork work;
-  const DetectOutcome out0 = scan_against_all(
-      db, 0, db.dx[0], db.dy[0], Task23Params{}, work, false);
+  const DetectOutcome out0 =
+      scan_against_all(db, 0, db.dx[0], db.dy[0], Task23Params{}, work);
   EXPECT_FALSE(out0.critical);
 }
 
@@ -123,8 +123,8 @@ TEST(Task23Reference, PartnerIsSoonestConflict) {
   }
 
   ScanWork work;
-  const DetectOutcome det = scan_against_all(db, 0, db.dx[0], db.dy[0],
-                                             Task23Params{}, work, false);
+  const DetectOutcome det =
+      scan_against_all(db, 0, db.dx[0], db.dy[0], Task23Params{}, work);
   EXPECT_TRUE(det.conflict);
   EXPECT_EQ(det.partner, 2);
   EXPECT_EQ(work.pair_tests, 2u);
