@@ -116,6 +116,8 @@ TerrainResult Backend::run_terrain(const TerrainTaskParams& params) {
   if (terrain_map() == nullptr) {
     throw std::logic_error("Backend::run_terrain: no terrain attached");
   }
+  check_terrain_params(params);
+  check_motion_finite(state());
   return traced("terrain", [&] { return do_run_terrain(params); });
 }
 

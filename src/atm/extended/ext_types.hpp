@@ -5,6 +5,7 @@
 // correlation of the unsimplified radar environment.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -26,6 +27,22 @@ struct TerrainTaskParams {
   /// Extra altitude margin added when commanding a climb.
   double climb_buffer_feet = 500.0;
 };
+
+/// The terrain task's parameter contract, checked on entry to every
+/// terrain path with check_motion_finite: a finite horizon >= 0 and a
+/// finite clearance and climb buffer. A non-finite sample position would
+/// reach TerrainMap::elevation_at's cell cast (NaN survives the clamp).
+/// Aborts through ATM_CHECK otherwise.
+inline void check_terrain_params(const TerrainTaskParams& params) {
+  ATM_CHECK_MSG(params.horizon_periods >= 0.0 &&
+                    std::isfinite(params.horizon_periods) &&
+                    std::isfinite(params.clearance_feet) &&
+                    std::isfinite(params.climb_buffer_feet),
+                "TerrainTaskParams out of range: horizon_periods="
+                    << params.horizon_periods
+                    << " clearance_feet=" << params.clearance_feet
+                    << " climb_buffer_feet=" << params.climb_buffer_feet);
+}
 
 struct TerrainStats {
   std::uint64_t aircraft = 0;

@@ -1,8 +1,11 @@
 #include "src/atm/reference/collision.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/core/check.hpp"
@@ -13,11 +16,10 @@ namespace atm::tasks::reference {
 
 namespace {
 
-/// Detection feeds slots to the band kernel in blocks of at most this
-/// many lanes (an index run may end a block early): a block's kernel
-/// output (4.5 KB of tmin and flags) stays in L1 for the decision loop
-/// that reads it, while full blocks keep the SIMD lanes saturated. The
-/// gate-list build walks its lanes in the same blocks.
+/// Detection feeds a gate window to the band kernel in blocks of at most
+/// this many lanes: a block's kernel output (4.5 KB of tmin and flags)
+/// stays in L1 for the decision loop that reads it, while full blocks
+/// keep the SIMD lanes saturated.
 constexpr std::size_t kScanBlock = 512;
 
 /// Trial checks run the band kernel over the gate list in blocks of this
@@ -37,18 +39,14 @@ core::kern::BandParams band_params(const Task23Params& params) {
   return {params.band_nm, params.horizon_periods, params.altitude_gate_feet};
 }
 
-/// The aircraft id of a region slot.
-std::int32_t id_of(const ScanRegion& region, std::size_t slot) {
-  return region.ids != nullptr ? region.ids[slot]
-                               : static_cast<std::int32_t>(slot);
-}
-
-/// The index query of a track moving at the speed of (vx, vy). Detection
-/// and the trials both ask here, so equal velocities give equal boxes.
-core::spatial::SweptQuery query_of(const core::spatial::SweptIndex& index,
-                                   double xi, double yi, double alti,
-                                   double vx, double vy) {
-  return index.query(xi, yi, alti, std::sqrt(vx * vx + vy * vy));
+/// The index query of a track moving at the speed of (vx, vy), or the
+/// empty query without an index. Detection and the trials both ask here,
+/// so equal velocities give equal boxes.
+core::spatial::SweptQuery query_of(const ScanRegion& region, double xi,
+                                   double yi, double alti, double vx,
+                                   double vy) {
+  if (region.index == nullptr) return {};
+  return region.index->query(xi, yi, alti, std::sqrt(vx * vx + vy * vy));
 }
 
 /// Grow `column` to at least n elements without spare capacity (reserve
@@ -62,22 +60,89 @@ void grow_exact(Column& column, std::size_t n) {
   }
 }
 
-/// Call scan_run(begin, end) on every slot range a scan of `box` reads:
-/// the index's runs, or the whole view without an index.
+/// Call scan_cell(begin, end) on every cell a scan of `box` reads, in
+/// enumeration order: the index's buckets, or the whole view without an
+/// index.
 template <typename Fn>
-void for_each_scan_run(const ScanRegion& region,
-                       const core::spatial::SweptQuery& box, Fn&& scan_run) {
+void for_each_scan_cell(const ScanRegion& region,
+                        const core::spatial::SweptQuery& box,
+                        Fn&& scan_cell) {
   if (region.index != nullptr) {
-    region.index->for_each_run(box, [&](std::size_t begin, std::size_t end) {
-      scan_run(begin, end);
-      return false;
-    });
-  } else {
-    scan_run(0, region.view.n);
+    region.index->for_each_cell(box, scan_cell);
+  } else if (region.view.n > 0) {
+    scan_cell(std::size_t{0}, region.view.n);
   }
 }
 
+/// The slots of cell [begin, end), sorted by altitude, whose altitude
+/// passes altitude_gate_pass against `alti`. For a fixed alti the rounded
+/// difference alti - a is monotone in a, so the failures below alti are
+/// a prefix of the cell and those above it a suffix.
+std::pair<std::size_t, std::size_t> gate_window(const double* alt,
+                                                std::size_t begin,
+                                                std::size_t end, double alti,
+                                                double gate_feet) {
+  const double* const first = alt + begin;
+  const double* const last = alt + end;
+  const double* const lo = std::partition_point(first, last, [&](double a) {
+    return a < alti && !core::kern::altitude_gate_pass(alti, a, gate_feet);
+  });
+  const double* const hi = std::partition_point(lo, last, [&](double a) {
+    return a <= alti || core::kern::altitude_gate_pass(alti, a, gate_feet);
+  });
+  return {static_cast<std::size_t>(lo - alt),
+          static_cast<std::size_t>(hi - alt)};
+}
+
 }  // namespace
+
+const ScanRegion& SortedSnapshot::build(const airfield::FlightDb& db,
+                                        const Task23Params& params) {
+  const std::size_t n = db.size();
+  const bool grid =
+      params.broadphase == core::spatial::BroadphaseMode::kGrid;
+  std::span<const std::int32_t> order;  // Position -> id (kGrid).
+  std::span<const std::int32_t> cells;  // Cell starts.
+  const std::array<std::int32_t, 2> one_cell{0, static_cast<std::int32_t>(n)};
+  if (grid) {
+    build_swept_index(db, params, index_);
+    order = index_.order();
+    cells = index_.cell_starts();
+  } else {
+    cells = one_cell;
+  }
+  const auto id_at = [&](std::size_t p) {
+    return grid ? order[p] : static_cast<std::int32_t>(p);
+  };
+
+  keys_.resize(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    keys_[p] = {db.alt[static_cast<std::size_t>(id_at(p))],
+                static_cast<std::int32_t>(p)};
+  }
+  // A cell's positions ascend with its ids, so (alt, position) orders it
+  // by (alt, id).
+  for (std::size_t c = 0; c + 1 < cells.size(); ++c) {
+    std::sort(keys_.begin() + cells[c], keys_.begin() + cells[c + 1],
+              [](const Key& a, const Key& b) {
+                return a.alt < b.alt ||
+                       (a.alt == b.alt && a.position < b.position);
+              });
+  }
+  ids_.resize(n);
+  position_.resize(n);
+  slot_at_.resize(n);
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    const auto p = static_cast<std::size_t>(keys_[slot].position);
+    position_[slot] = static_cast<std::int32_t>(p);
+    ids_[slot] = id_at(p);
+    slot_at_[p] = static_cast<std::int32_t>(slot);
+  }
+  snap_.gather(db, ids_);
+  region_ = {snap_.view(), ids_.data(), position_.data(), slot_at_.data(),
+             grid ? &index_ : nullptr};
+  return region_;
+}
 
 DetectOutcome scan_candidates(const ScanRegion& region, std::int32_t self,
                               double xi, double yi, double alti, double vx,
@@ -96,21 +161,19 @@ DetectOutcome scan_candidates(const ScanRegion& region, std::int32_t self,
   std::uint64_t candidates = 0;
   std::uint64_t tests = 0;
 
-  // Scan the contiguous view slots [begin, end) blockwise. After each
-  // kernel block the decision loop reads the block's lanes in slot order,
-  // in two passes. The first branches only on conflict lanes: the
-  // soonest-partner update, with a (time_min, partner id) lexicographic
-  // tie-break — for the ascending brute-force scan this is exactly the
-  // historical first-writer-wins behaviour, and it makes the outcome
-  // independent of the order an index enumerates candidates in. The
-  // second pass tallies the work counters as branch-free arithmetic
-  // (every lane but self is a candidate, its gate bit a test).
-  static_assert(core::kern::kBandGatePass == 1u);
+  // Scan each cell's gate window blockwise. After each kernel block the
+  // decision loop reads the block's conflict lanes: the soonest-partner
+  // update, with a (time_min, partner id) lexicographic tie-break, which
+  // makes the outcome independent of the order lanes are read in.
   double* const lane_tmin = scratch.tmin.data();
   std::uint8_t* const lane_flags = scratch.flags.data();
-  const auto scan_run = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t base = begin; base < end; base += kScanBlock) {
-      const std::size_t count = std::min(kScanBlock, end - base);
+  const auto scan_cell = [&](std::size_t begin, std::size_t end) {
+    const auto [lo, hi] =
+        gate_window(view.alt, begin, end, alti, params.altitude_gate_feet);
+    candidates += end - begin;
+    tests += hi - lo;
+    for (std::size_t base = lo; base < hi; base += kScanBlock) {
+      const std::size_t count = std::min(kScanBlock, hi - base);
       const core::kern::SoaView block{view.x + base,  view.y + base,
                                       view.dx + base, view.dy + base,
                                       view.alt + base, count};
@@ -120,7 +183,7 @@ DetectOutcome scan_candidates(const ScanRegion& region, std::int32_t self,
                                        &work.lanes_masked);
       for (std::size_t k = 0; k < count; ++k) {
         if ((lane_flags[k] & core::kern::kBandConflict) == 0) continue;
-        const std::int32_t j = id_of(region, base + k);
+        const std::int32_t j = region.ids[base + k];
         if (j == self) continue;
         out.conflict = true;
         const double tmin = lane_tmin[k];
@@ -131,19 +194,13 @@ DetectOutcome scan_candidates(const ScanRegion& region, std::int32_t self,
         }
         if (tmin < params.critical_periods) out.critical = true;
       }
-      for (std::size_t k = 0; k < count; ++k) {
-        const unsigned live = id_of(region, base + k) != self ? 1u : 0u;
-        candidates += live;
-        tests += live & lane_flags[k];
-      }
     }
   };
-  const core::spatial::SweptQuery box =
-      region.index != nullptr ? query_of(*region.index, xi, yi, alti, vx, vy)
-                              : core::spatial::SweptQuery{};
-  for_each_scan_run(region, box, scan_run);
-  work.pair_candidates += candidates;
-  work.pair_tests += tests;
+  for_each_scan_cell(region, query_of(region, xi, yi, alti, vx, vy),
+                     scan_cell);
+  // Self is one of the candidates and one of the tests, not a pair.
+  work.pair_candidates += candidates - 1;
+  work.pair_tests += tests - 1;
   return out;
 }
 
@@ -163,44 +220,56 @@ TrialScan::TrialScan(const ScanRegion& region, std::int32_t self, double xi,
 }
 
 void TrialScan::build(const core::spatial::SweptQuery& box) {
-  // One branch-free pass over the lanes a scan of `box` reads, blockwise:
-  // every lane writes its slot and rank at `kept`, and only a non-self
-  // lane that passes the gate advances it, so the buffers need room for
-  // the passers plus one block. The loop works on locals: the stores
-  // could otherwise alias the counters and the focus fields, and the
+  // Cell by cell in enumeration order: mark the positions of the cell's
+  // gate window (self excepted) in the bitset, then read the marks back
+  // in ascending position, clearing them, so the list comes out in
+  // enumeration order. Each rank counts the positions enumerated up to
+  // and including the passer, less self when self precedes it. The loops
+  // work on locals: the stores could otherwise alias them, and the
   // compiler would reload them per lane.
   GateList& gates = scratch_.gates;
   const core::kern::SoaView& view = region_.view;
+  const std::int32_t* const ids = region_.ids;
+  const std::int32_t* const position = region_.position;
+  const std::int32_t* const slot_at = region_.slot_at;
   const std::int32_t self = self_;
-  const double alti = alti_;
-  const double gate_feet = band_.altitude_gate_feet;
+  grow_exact(scratch_.marks, (view.n + 63) / 64);
+  std::uint64_t* const marks = scratch_.marks.data();
   std::size_t kept = 0;
-  std::uint64_t enumerated = 0;  // Non-self lanes read so far.
-  for_each_scan_run(region_, box, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t base = begin; base < end; base += kScanBlock) {
-      const std::size_t block_end = std::min(end, base + kScanBlock);
-      grow_exact(gates.slot, kept + (block_end - base));
-      grow_exact(gates.rank, kept + (block_end - base));
+  std::uint64_t enumerated = 0;  // Positions of the cells before this one.
+  std::size_t self_position = view.n;  // view.n until self is seen.
+  for_each_scan_cell(region_, box, [&](std::size_t begin, std::size_t end) {
+    const auto [lo, hi] =
+        gate_window(view.alt, begin, end, alti_, band_.altitude_gate_feet);
+    if (lo < hi) {
+      for (std::size_t slot = lo; slot < hi; ++slot) {
+        const auto p = static_cast<std::size_t>(position[slot]);
+        if (ids[slot] == self) {
+          self_position = p;
+          continue;
+        }
+        marks[p / 64] |= std::uint64_t{1} << (p % 64);
+      }
+      grow_exact(gates.slot, kept + (hi - lo));
+      grow_exact(gates.rank, kept + (hi - lo));
       std::int32_t* const slot_out = gates.slot.data();
       std::uint32_t* const rank_out = gates.rank.data();
-      std::size_t k = kept;
-      std::uint64_t e = enumerated;
-      for (std::size_t slot = base; slot < block_end; ++slot) {
-        const std::uint64_t live = id_of(region_, slot) != self ? 1u : 0u;
-        e += live;
-        slot_out[k] = static_cast<std::int32_t>(slot);
-        rank_out[k] = static_cast<std::uint32_t>(e);
-        k += live & (core::kern::altitude_gate_pass(alti, view.alt[slot],
-                                                    gate_feet)
-                         ? 1u
-                         : 0u);
+      for (std::size_t w = begin / 64; w <= (end - 1) / 64; ++w) {
+        for (std::uint64_t bits = marks[w]; bits != 0; bits &= bits - 1) {
+          const std::size_t p =
+              w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+          slot_out[kept] = slot_at[p];
+          rank_out[kept] = static_cast<std::uint32_t>(
+              enumerated + (p - begin) + (p > self_position ? 0u : 1u));
+          ++kept;
+        }
+        marks[w] = 0;
       }
-      kept = k;
-      enumerated = e;
     }
+    enumerated += end - begin;
   });
   gates.box = box;
-  gates.candidates = enumerated;
+  gates.candidates = enumerated - 1;  // Self is in its own query.
   core::kern::SoaSnapshot& lanes = gates.lanes;
   for (auto* column : {&lanes.x, &lanes.y, &lanes.dx, &lanes.dy, &lanes.alt}) {
     column->reserve(kept);
@@ -211,9 +280,7 @@ void TrialScan::build(const core::spatial::SweptQuery& box) {
 
 bool TrialScan::critical(double vx, double vy, ScanWork& work) {
   const core::spatial::SweptQuery box =
-      region_.index != nullptr
-          ? query_of(*region_.index, xi_, yi_, alti_, vx, vy)
-          : core::spatial::SweptQuery{};
+      query_of(region_, xi_, yi_, alti_, vx, vy);
   if (!built_ || box != scratch_.gates.box) build(box);
 
   const GateList& gates = scratch_.gates;
@@ -245,21 +312,14 @@ bool TrialScan::critical(double vx, double vy, ScanWork& work) {
 
 DetectOutcome scan_against_all(const airfield::FlightDb& db, std::size_t i,
                                double vx, double vy,
-                               const Task23Params& params, ScanWork& work,
-                               const core::spatial::SweptIndex* index) {
-  core::kern::SoaSnapshot snap;
-  ScanRegion region;
-  if (index != nullptr) {
-    snap.gather(db, index->order());
-    region.ids = index->order().data();
-    region.index = index;
-  } else {
-    snap.gather(db);
-  }
-  region.view = snap.view();
+                               const Task23Params& params, ScanWork& work) {
+  Task23Params brute = params;
+  brute.broadphase = core::spatial::BroadphaseMode::kBruteForce;
+  SortedSnapshot sorted;
   ScanScratch scratch;
-  return scan_candidates(region, static_cast<std::int32_t>(i), db.x[i],
-                         db.y[i], db.alt[i], vx, vy, params,
+  return scan_candidates(sorted.build(db, brute),
+                         static_cast<std::int32_t>(i), db.x[i], db.y[i],
+                         db.alt[i], vx, vy, params,
                          core::kern::resolve(params.kernel), work, scratch);
 }
 
@@ -305,22 +365,11 @@ Task23Stats detect_and_resolve(airfield::FlightDb& db,
   db.reset_collision_state();
   std::vector<std::uint8_t> resolved_flag(n, 0);
 
-  // One gathered snapshot (and, under kGrid, one swept index whose
-  // bucket order is the snapshot's slot order) serves every scan of the
-  // run. Positions, velocities, and altitudes are only mutated by the
-  // commit phase below, after all scanning is done.
-  core::kern::SoaSnapshot snap;
-  core::spatial::SweptIndex swept;
-  ScanRegion region;
-  if (params.broadphase == core::spatial::BroadphaseMode::kGrid) {
-    build_swept_index(db, params, swept);
-    region.index = &swept;
-    region.ids = swept.order().data();
-    snap.gather(db, swept.order());
-  } else {
-    snap.gather(db);
-  }
-  region.view = snap.view();
+  // One sorted snapshot (and, under kGrid, its swept index) serves every
+  // scan of the run. Positions, velocities, and altitudes are only
+  // mutated by the commit phase below, after all scanning is done.
+  SortedSnapshot sorted;
+  const ScanRegion& region = sorted.build(db, params);
 
   ScanWork work;
   ScanScratch scratch;

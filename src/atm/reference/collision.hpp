@@ -21,6 +21,11 @@
 //  * Commit: resolved aircraft replace (dx, dy) with (batx, baty) and
 //    clear their collision flags (Algorithm 2 line 12); everyone else
 //    keeps their detection flags for the cycle report.
+//
+// The host paths (this sequential oracle and the pool executor in
+// src/atm/sharded.hpp, in both shard modes) share the scans below: one
+// SortedSnapshot of every aircraft per call, from which detection and
+// the trials read only each aircraft's altitude-gate window.
 #pragma once
 
 #include "src/airfield/flight_db.hpp"
@@ -64,42 +69,91 @@ struct GateList {
                                    ///< slots are int32).
 };
 
-/// Reusable scan buffers: one block of kernel output and the gate list.
-/// Thread-confined — every concurrent scanner (each pool worker) owns its
-/// own.
+/// Reusable scan buffers: one block of kernel output, the gate list and
+/// the bitset that puts it in enumeration order. Thread-confined — every
+/// concurrent scanner (each pool worker) owns its own.
 struct ScanScratch {
   core::kern::AlignedVector<double> tmin;  ///< Kernel block output.
   std::vector<std::uint8_t> flags;         ///< Kernel block output.
   GateList gates;                          ///< TrialScan's lanes.
+  std::vector<std::uint64_t> marks;        ///< One bit per enumeration
+                                           ///< position; zero between
+                                           ///< gate-list builds.
 };
 
-/// A Tasks 2+3 scan region: a gathered snapshot (the whole FlightDb, or
-/// one sector's owned + halo records), its slot -> aircraft id map and,
-/// under kGrid, the swept index it was gathered for.
+/// The Tasks 2+3 scan region of one call: every aircraft, gathered once
+/// into a snapshot sorted by (cell, altitude, id), plus the maps between
+/// its slots, the aircraft ids and the scan's enumeration order.
 ///
-///  * `ids` null: the slots are the ids;
-///  * with an `index`, `view` must be gathered in `index->order()` (slot
-///    k = bucket position k, so `ids` composes the order with the
-///    snapshot's own slot -> id map). Scans then read only the index's
-///    runs, each a contiguous slot range, in for_each_run order — the
-///    order for_each_candidate visits ids in. Without one they read every
-///    slot, in slot order.
+///  * Cells: under kGrid the swept index's buckets, which keep their
+///    bucket-position ranges (cell_starts()); brute force is one cell
+///    holding every aircraft.
+///  * Enumeration order: the order the one-at-a-time scan visits ids in —
+///    bucket order (for_each_candidate's) under kGrid, ascending id under
+///    brute force. A query's cells are visited in ascending position, so
+///    their positions ascend too. The counters and the trials' early exit
+///    are defined over this order.
+///  * Gate window: inside one cell the passers of altitude_gate_pass are
+///    one contiguous slot run (the gate's rounded difference is monotone
+///    in the partner's altitude), found by two binary searches. A scan
+///    reads only the windows of its query's cells.
 struct ScanRegion {
-  core::kern::SoaView view;
-  const std::int32_t* ids = nullptr;
-  const core::spatial::SweptIndex* index = nullptr;
+  core::kern::SoaView view;              ///< Motion state by slot.
+  const std::int32_t* ids = nullptr;     ///< Slot -> aircraft id.
+  const std::int32_t* position = nullptr;///< Slot -> enumeration position.
+  const std::int32_t* slot_at = nullptr; ///< Enumeration position -> slot.
+  const core::spatial::SweptIndex* index = nullptr;  ///< kGrid only.
+};
+
+/// The buffers behind a ScanRegion, reused from call to call: the
+/// sequential reference builds one per call, and the pool executor keeps
+/// one whose region its workers read concurrently once build() returns.
+class SortedSnapshot {
+ public:
+  /// Sort every aircraft of `db` into (cell, altitude, id) order for
+  /// `params` (building the swept index under kGrid), gather the
+  /// snapshot, and return the region over it, valid until the next
+  /// build. The snapshot is a copy: commits to db after the build do not
+  /// reach the scans.
+  const ScanRegion& build(const airfield::FlightDb& db,
+                          const Task23Params& params);
+
+  /// The swept index of the last kGrid build.
+  [[nodiscard]] const core::spatial::SweptIndex& index() const {
+    return index_;
+  }
+
+ private:
+  /// One slot's sort key.
+  struct Key {
+    double alt;
+    std::int32_t position;
+  };
+
+  core::kern::SoaSnapshot snap_;
+  core::spatial::SweptIndex index_;
+  std::vector<Key> keys_;
+  std::vector<std::int32_t> ids_, position_, slot_at_;
+  ScanRegion region_;
 };
 
 /// Task 2's scan of one track (position (xi, yi, alti), velocity (vx, vy))
 /// against `region` through the band-intersection batch kernel: the
 /// single detection scan every host path runs. `self` is excluded by id,
-/// and DetectOutcome.partner is reported as an id. The work counters
-/// tally every lane the scan reads.
+/// and DetectOutcome.partner is reported as an id.
+///
+/// The kernel reads only the gate windows of the track's query cells
+/// (every cell under brute force): a lane outside them fails the altitude
+/// gate, and the kernel flags a conflict only on a passer. The counters
+/// are those of the one-at-a-time scan: pair_candidates adds the cells'
+/// lengths and pair_tests the windows' lengths, each less self — self is
+/// in its own query, and it passes its own gate because
+/// check_task23_params requires a positive gate.
 ///
 /// The soonest conflict is selected with an explicit (time_min, partner
-/// id) tie-break, so the outcome is independent of enumeration order and
-/// identical with and without an index — and bit-identical across
-/// kernels (docs/PERF.md).
+/// id) tie-break, so the outcome is independent of the order lanes are
+/// read in and identical with and without an index — and bit-identical
+/// across kernels (docs/PERF.md).
 DetectOutcome scan_candidates(const ScanRegion& region, std::int32_t self,
                               double xi, double yi, double alti, double vx,
                               double vy, const Task23Params& params,
@@ -112,14 +166,16 @@ DetectOutcome scan_candidates(const ScanRegion& region, std::int32_t self,
 /// in `region`? One TrialScan serves every trial rotation of one
 /// aircraft; it keeps its gate list in `scratch`.
 ///
-/// A check reads the lanes scan_candidates would, in the same order, up
-/// to the first critical conflict, and adds the same pair_candidates and
-/// pair_tests — but its kernel reads only the gate list:
+/// A check reads the gate passers a one-at-a-time scan would, in its
+/// enumeration order, up to the first critical conflict, and adds the
+/// same pair_candidates and pair_tests:
 ///
-///  * the list holds the lanes that pass the altitude gate, self
-///    excluded, each with its rank. The gate depends on altitude only,
-///    and the kernel flags a conflict only on a gate-passing lane, so no
-///    lane outside the list can conflict under any heading;
+///  * the list holds the lanes of the query's gate windows, self
+///    excluded, put back into enumeration order (a bitset over the
+///    positions), each with its rank: the enumerated positions up to and
+///    including it, less one when self precedes it. The gate depends on
+///    altitude only, so no lane outside the list can conflict under any
+///    heading;
 ///  * the first check builds it. Under kGrid it is tagged with the index
 ///    query it was built for, and a check whose query differs (a speed
 ///    that rounds to other cells) rebuilds it first;
@@ -148,16 +204,14 @@ class TrialScan {
   bool built_ = false;
 };
 
-/// Convenience oracle form over a FlightDb: gathers a throwaway snapshot
-/// (in `index`'s bucket order when one is given; the index must be built
-/// over `db`) and runs scan_candidates for aircraft i with path (vx, vy).
-/// Tests use this as the single-scan semantic oracle; the task drivers
-/// gather once and call scan_candidates directly.
+/// Convenience oracle form over a FlightDb: sorts a throwaway brute-force
+/// region (whatever params.broadphase says) and runs scan_candidates for
+/// aircraft i with path (vx, vy). Tests use this as the single-scan
+/// semantic oracle; the tasks build one region per call and call
+/// scan_candidates directly.
 DetectOutcome scan_against_all(const airfield::FlightDb& db, std::size_t i,
                                double vx, double vy,
-                               const Task23Params& params, ScanWork& work,
-                               const core::spatial::SweptIndex* index =
-                                   nullptr);
+                               const Task23Params& params, ScanWork& work);
 
 /// The swept-index geometry of a Tasks 2+3 run: the params' horizon,
 /// band, and altitude gate.

@@ -21,8 +21,8 @@ namespace {
 /// Items per dynamically claimed chunk for the flat phases, and radars per
 /// unsharded Task 1 coverage task.
 constexpr std::size_t kChunk = 64;
-/// Aircraft per unsharded Tasks 2+3 task: each one scans the whole table,
-/// so small tasks keep the workers balanced.
+/// Aircraft per Tasks 2+3 task: each one scans the whole region, so small
+/// tasks keep the workers balanced.
 constexpr std::size_t kAircraftChunk = 8;
 
 constexpr auto kUnmatched = static_cast<std::int8_t>(MatchState::kUnmatched);
@@ -118,27 +118,28 @@ void cover_radar(const CoverRegion& region, const airfield::RadarFrame& frame,
 struct alignas(64) ResolveTally {
   std::uint64_t conflicts = 0, critical = 0, resolved = 0, unresolved = 0;
   std::uint64_t rescans = 0;
-  std::uint64_t reads = 0;  ///< Region slots [13]'s scans read: the
-                            ///< whole region per detection and per trial.
+  std::uint64_t reads = 0;  ///< Records [13]'s scans read: its whole
+                            ///< region per detection and per trial.
   reference::ScanWork work;
 };
 
 /// Tasks 2+3 for aircraft `id` against `region`: detection on its current
 /// path, then, when the soonest conflict is critical, the trial rotations
 /// against everyone's original path until one clears. Writes aircraft
-/// id's own record and resolved flag only.
+/// id's own record and resolved flag only. Each scan charges `reads`
+/// records: the region [13] would scan for this aircraft.
 void detect_and_resolve_one(airfield::FlightDb& db,
                             std::vector<std::uint8_t>& resolved,
                             std::int32_t id,
                             const reference::ScanRegion& region,
-                            const Task23Params& params,
+                            std::uint64_t reads, const Task23Params& params,
                             core::kern::Kernel kernel, ResolveTally& t) {
   const auto i = static_cast<std::size_t>(id);
   // The calling pool worker's scan buffers, shared by every task it runs
-  // in either shard mode (the pool has no worker ids; thread_local
-  // buffers persist across tasks and runs).
+  // (the pool has no worker ids; thread_local buffers persist across
+  // tasks and runs).
   thread_local reference::ScanScratch scan;
-  t.reads += region.view.n;
+  t.reads += reads;
   const reference::DetectOutcome det = reference::scan_candidates(
       region, id, db.x[i], db.y[i], db.alt[i], db.dx[i], db.dy[i], params,
       kernel, t.work, scan);
@@ -158,9 +159,9 @@ void detect_and_resolve_one(airfield::FlightDb& db,
     const core::Vec2 trial = core::rotate_deg(
         vel, reference::trial_angle_deg(attempt, params.turn_step_deg));
     ++t.rescans;
-    // [13] rescans the whole region per trial, and the model charges that
+    // [13] rescans its whole region per trial, and the model charges that
     // read although the host reads only the gate list.
-    t.reads += region.view.n;
+    t.reads += reads;
     if (!trials.critical(trial.x, trial.y, t.work)) {
       db.batx[i] = trial.x;
       db.baty[i] = trial.y;
@@ -426,39 +427,17 @@ Task23Stats detect_and_resolve(airfield::FlightDb& db,
 
   db.reset_collision_state();
 
-  // One task per sector, or per kAircraftChunk aircraft unsharded. Every
-  // db write targets the task's own aircraft; the snapshot fields
-  // (x/y/dx/dy/alt) are never written before the commit phase below, so
-  // the concurrent sector gathers race with nothing.
-  std::vector<ResolveTally> tally(
-      sectors > 0 ? sectors : (n + kAircraftChunk - 1) / kAircraftChunk);
-  const bool use_index =
-      params.broadphase == core::spatial::BroadphaseMode::kGrid;
-  if (sectors == 0) {
-    // One serially gathered snapshot of every aircraft (in the swept
-    // index's bucket order under kGrid), scanned read-only by every task.
-    reference::ScanRegion region;
-    if (use_index) {
-      reference::build_swept_index(db, params, scratch.swept);
-      scratch.snap.gather(db, scratch.swept.order());
-      region.ids = scratch.swept.order().data();
-      region.index = &scratch.swept;
-    } else {
-      scratch.snap.gather(db);
-    }
-    region.view = scratch.snap.view();
-    pool.parallel_for(0, tally.size(), 1, [&](std::size_t task) {
-      const std::size_t end = std::min(n, (task + 1) * kAircraftChunk);
-      for (std::size_t i = task * kAircraftChunk; i < end; ++i) {
-        detect_and_resolve_one(db, scratch.resolved,
-                               static_cast<std::int32_t>(i), region, params,
-                               kernel, tally[task]);
-      }
-    });
-  } else {
-    // Halo reach: a pair conflicting inside the horizon is currently at
-    // most band + (|v_i| + |v_j|) * horizon apart per axis, and a Task-3
-    // trial rotation preserves |v_i| (see sharded.hpp).
+  // One serially sorted snapshot of every aircraft (reference/collision.hpp),
+  // scanned read-only by every task in both shard modes.
+  const reference::ScanRegion& region = scratch.region.build(db, params);
+
+  // Sharded, the partition only sets the charge and the telemetry: [13]'s
+  // sector task would gather its owned + halo records and scan them once
+  // per detection and per trial. Halo reach: a pair conflicting inside
+  // the horizon is currently at most band + (|v_i| + |v_j|) * horizon
+  // apart per axis, and a Task-3 trial rotation preserves |v_i| (see
+  // sharded.hpp).
+  if (sectors > 0) {
     double max_speed = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double s2 = db.dx[i] * db.dx[i] + db.dy[i] * db.dy[i];
@@ -469,41 +448,30 @@ Task23Stats detect_and_resolve(airfield::FlightDb& db,
         params.band_nm + 2.0 * max_speed * params.horizon_periods;
     scratch.partition.build(db.x, db.y, {}, reach, params.sectors_per_axis);
     stats.halo_candidates = scratch.partition.halo_total();
-    scratch.sectors.resize(sectors);
-
-    // Gather the sector's snapshot (owned + halo), optionally build its
-    // swept index and re-gather the snapshot in bucket order, then run
-    // every owned aircraft against it. buf.id maps slots to global ids,
-    // so self-exclusion, the (time_min, id) tie-break, and the reported
-    // partner are those of the whole-table scan.
-    pool.parallel_for(0, sectors, 1, [&](std::size_t s) {
-      const std::span<const std::int32_t> owned = scratch.partition.owned(s);
-      const std::span<const std::int32_t> cand =
-          scratch.partition.candidates(s);
-      tele.sector_owned[s] = owned.size();
-      if (owned.empty()) return;
-      tele.sector_candidates[s] = cand.size();
-
-      ShardScratch::SectorBuffers& buf = scratch.sectors[s];
-      buf.snap.gather(db, cand);
-      buf.id.assign(cand.begin(), cand.end());
-      if (use_index) {
-        buf.swept.build(buf.snap.x, buf.snap.y, buf.snap.dx, buf.snap.dy,
-                        buf.snap.alt, reference::swept_index_params(params));
-        const std::span<const std::int32_t> order = buf.swept.order();
-        for (std::size_t k = 0; k < order.size(); ++k) {
-          buf.id[k] = cand[static_cast<std::size_t>(order[k])];
-        }
-        buf.snap.gather(db, buf.id);
+    for (std::size_t s = 0; s < sectors; ++s) {
+      tele.sector_owned[s] = scratch.partition.owned(s).size();
+      if (tele.sector_owned[s] > 0) {
+        tele.sector_candidates[s] = scratch.partition.candidates(s).size();
       }
-      const reference::ScanRegion region{buf.snap.view(), buf.id.data(),
-                                         use_index ? &buf.swept : nullptr};
-      for (const std::int32_t id : owned) {
-        detect_and_resolve_one(db, scratch.resolved, id, region, params,
-                               kernel, tally[s]);
-      }
-    });
+    }
   }
+  const auto scan_reads = [&](std::size_t i) -> std::uint64_t {
+    if (sectors == 0) return n;
+    return tele.sector_candidates[static_cast<std::size_t>(
+        scratch.partition.owner_of(i))];
+  };
+
+  // One task per kAircraftChunk aircraft. Every db write targets the
+  // task's own aircraft, and the scans read the snapshot, not the db.
+  std::vector<ResolveTally> tally((n + kAircraftChunk - 1) / kAircraftChunk);
+  pool.parallel_for(0, tally.size(), 1, [&](std::size_t task) {
+    const std::size_t end = std::min(n, (task + 1) * kAircraftChunk);
+    for (std::size_t i = task * kAircraftChunk; i < end; ++i) {
+      detect_and_resolve_one(db, scratch.resolved,
+                             static_cast<std::int32_t>(i), region,
+                             scan_reads(i), params, kernel, tally[task]);
+    }
+  });
   ++tele.parallel_regions;
 
   // Commit.
@@ -529,9 +497,12 @@ Task23Stats detect_and_resolve(airfield::FlightDb& db,
     stats.lanes_masked += t.work.lanes_masked;
     reads += t.reads;
   }
-  // Records read: the index's enumerated candidates under kGrid, whole
+  // Records read: the index's enumerated candidates under kGrid, [13]'s
   // region sweeps under brute force.
-  tele.inner_ops = use_index ? stats.pair_candidates : reads;
+  tele.inner_ops =
+      params.broadphase == core::spatial::BroadphaseMode::kGrid
+          ? stats.pair_candidates
+          : reads;
   // [13]'s lock charge: sharded, one per gathered record; unsharded, a
   // reader lock per record read plus a write lock per conflict flagged
   // and per trial path stored.

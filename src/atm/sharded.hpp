@@ -3,32 +3,31 @@
 // reference backend runs its sharded mode here (its unsharded mode is the
 // sequential oracle in src/atm/reference).
 //
-// The two modes differ only in the scan region each pool task covers:
+// Task 1's two modes differ in the scan region each pool task covers:
 //
-//  * Unsharded (ShardMode::kNone): the region is the whole table. Task 1
-//    runs one pool item per active radar over the shared expected
-//    positions — eligibility-masked under brute force, the grid cells
-//    under kGrid. Tasks 2+3 run one item per aircraft over one snapshot
-//    of every aircraft, gathered in the swept index's bucket order under
-//    kGrid.
-//  * Sharded (ShardMode::kSectors): each period the airfield is
+//  * Unsharded (ShardMode::kNone): one pool item per active radar over
+//    the shared expected positions — eligibility-masked under brute
+//    force, the grid cells under kGrid.
+//  * Sharded (ShardMode::kSectors): each pass the airfield is
 //    partitioned into an S x S SectorPartition; every sector becomes one
 //    pool task that *gathers* its candidate records (owned + halo) into a
-//    sector-local snapshot and scans it. Cross-sector pairs are never
-//    lost because the halo reach bounds how far any exact match can sit
-//    from the sector:
-//     - Task 1, pass with box half-extent h: a radar in sector s can only
-//       match aircraft whose expected position is within h per axis of
-//       the radar, so reach = h.
-//     - Tasks 2+3: a pair can only conflict inside the horizon if the
-//       current per-axis separation is at most band + (|v_i| + |v_j|) *
-//       horizon <= band + 2 * max_speed * horizon = reach (trial
-//       rotations preserve |v_i|, so one reach covers Task 3's rescans
-//       too). At the paper's 20-minute horizon this saturates the field —
-//       the halos then carry everyone, and sharding buys parallel
-//       per-sector execution rather than pruning (pruning is the
-//       broadphase's job, and it composes: `broadphase = kGrid` builds
-//       the grid / swept index per sector over the gathered snapshot).
+//    sector-local snapshot and scans its radars against it. Cross-sector
+//    pairs are never lost: a radar in sector s with box half-extent h can
+//    only match aircraft whose expected position is within h per axis of
+//    it, so the halo reach is h.
+//
+// Tasks 2+3 run one path in both modes: one SortedSnapshot of every
+// aircraft (reference/collision.hpp), tasks of a few aircraft each, and
+// per aircraft the detection scan and the trial rotations over its gate
+// windows. Sharded, the executor still builds the partition, but only
+// for what the MIMD model charges and the per-sector telemetry reports:
+// [13]'s sector task would gather its owned + halo records, and a pair
+// can only conflict inside the horizon if the current per-axis
+// separation is at most band + (|v_i| + |v_j|) * horizon <= band + 2 *
+// max_speed * horizon = reach (trial rotations preserve |v_i|). At the
+// paper's 20-minute horizon that reach saturates the field, so sector
+// snapshots would carry everyone; the shared region reads what they
+// would, once.
 //
 // Everything else is shared by the two modes: Task 1's pass loop,
 // expected positions, eligibility mask, per-radar coverage scan,
@@ -55,7 +54,6 @@
 #include "src/atm/task_types.hpp"
 #include "src/core/kern/soa_snapshot.hpp"
 #include "src/core/spatial/sectors.hpp"
-#include "src/core/spatial/swept_index.hpp"
 #include "src/core/spatial/uniform_grid.hpp"
 #include "src/mimd/thread_pool.hpp"
 
@@ -67,9 +65,10 @@ namespace atm::tasks::sharded {
 /// record; the executor charges those locks from its counts instead of
 /// taking them (docs/COST_MODELS.md §4):
 ///
-///  * sharded: one locked read per record gathered into a sector
+///  * sharded: one locked read per record a sector task gathers into its
 ///    snapshot (the shard handoff; the local scans touch no shared
-///    record);
+///    record) — Task 1's real gathers, Tasks 2+3's counted from the
+///    partition;
 ///  * unsharded Task 1: inner_ops + coverage hits + correlations;
 ///  * unsharded Tasks 2+3: inner_ops + conflicts + resolutions.
 ///
@@ -83,33 +82,26 @@ struct ShardTelemetry {
   std::vector<std::uint64_t> sector_candidates;  ///< Owned + halo items.
 };
 
-/// Reusable buffers for the executor (partition, per-sector snapshots and
-/// indexes, the unsharded Tasks 2+3 snapshot, and the flat per-aircraft/
+/// Reusable buffers for the executor (partition, Task 1's per-sector
+/// snapshots and indexes, the Tasks 2+3 region, and the flat per-aircraft/
 /// per-radar arrays the passes share). One per backend; allocate once,
 /// reuse every period.
 struct ShardScratch {
   core::spatial::SectorPartition partition;
 
-  /// One sector task's gathered snapshot plus its optional broadphase.
-  /// `id[slot]` is the global aircraft id of a snapshot slot. Under kGrid
-  /// the Tasks 2+3 snapshot is gathered twice into the same buffers:
-  /// in candidate order to build the swept index, then in the index's
-  /// bucket order, which is the order the scan reads.
+  /// One Task 1 sector task's gathered expected positions plus its
+  /// optional grid. `id[slot]` is the global aircraft id of a slot.
   struct SectorBuffers {
-    core::kern::SoaSnapshot snap;              ///< Tasks 2+3 snapshot.
-    core::kern::AlignedVector<double> ex, ey;  ///< Task 1 snapshot.
+    core::kern::AlignedVector<double> ex, ey;
     std::vector<std::int32_t> id;           ///< Global ids of the snapshot.
-    std::vector<std::int32_t> cand;         ///< Task 1 grid candidates.
-    std::vector<std::int32_t> hits;         ///< Task 1 kernel hit output.
-    core::spatial::SweptIndex swept;
+    std::vector<std::int32_t> cand;         ///< Grid candidates.
+    std::vector<std::int32_t> hits;         ///< Kernel hit output.
     core::spatial::UniformGrid2D grid;
   };
   std::vector<SectorBuffers> sectors;
 
-  /// The unsharded Tasks 2+3 region: every aircraft, in the swept index's
-  /// bucket order under kGrid.
-  core::kern::SoaSnapshot snap;
-  core::spatial::SweptIndex swept;
+  /// The Tasks 2+3 region: every aircraft, in both shard modes.
+  reference::SortedSnapshot region;
 
   reference::Task1Scratch task1;          ///< Flat per-aircraft/radar state.
   std::vector<std::uint8_t> resolved;     ///< Tasks 2+3 commit flags.

@@ -61,11 +61,12 @@ struct Task23Params {
   /// differ. Platform backends modeling all-pairs hardware ignore this.
   core::spatial::BroadphaseMode broadphase =
       core::spatial::BroadphaseMode::kBruteForce;
-  /// Sector sharding on the host paths: kSectors runs detection and the
-  /// trial rotations per sector over a gathered per-sector snapshot.
-  /// Outcomes are identical to the monolithic scan by construction;
-  /// composes with `broadphase` (a per-sector swept index). Platform
-  /// backends modeling all-pairs hardware ignore this field.
+  /// Sector sharding on the host paths: kSectors partitions the airfield
+  /// into sectors_per_axis^2 sectors with halos, but only for the MIMD
+  /// model's charge and the per-sector trace counters — the scans run on
+  /// the one shared region of the unsharded path (sharded.hpp), so
+  /// outcomes are identical to it. Platform backends modeling all-pairs
+  /// hardware ignore this field.
   core::spatial::ShardMode shard = core::spatial::ShardMode::kNone;
   int sectors_per_axis = 4;
   /// Batch-kernel selection for the host paths' band-intersection scans:
@@ -103,13 +104,20 @@ inline void check_task1_params(const Task1Params& params) {
 inline constexpr double kMaxTrialSteps = 180.0;
 
 /// Tasks 2+3's parameter contract, checked on entry to every collision
-/// path: a finite turn step > 0 (NaN fails), a turn maximum in (0, 180]
-/// degrees, and at most kMaxTrialSteps steps to it, so the trial count
-/// (2 * floor(max / step)) is a small int; and 1 <= sectors_per_axis <=
-/// kMaxShardSectorsPerAxis, whatever the shard mode. Aborts through
-/// ATM_CHECK otherwise.
+/// path: a positive altitude gate, band and horizon (NaN fails each); a
+/// finite turn step > 0, a turn maximum in (0, 180] degrees, and at most
+/// kMaxTrialSteps steps to it, so the trial count (2 * floor(max / step))
+/// is a small int; and 1 <= sectors_per_axis <= kMaxShardSectorsPerAxis,
+/// whatever the shard mode. Aborts through ATM_CHECK otherwise.
+///
+/// The gate bound keeps every aircraft inside its own gate (|0| < gate),
+/// which the host scans' counters assume (reference/collision.hpp), and
+/// the band and horizon bounds are the band kernel's own, checked here
+/// because a scan that reads no lane never calls it.
 inline void check_task23_params(const Task23Params& params) {
-  ATM_CHECK_MSG(params.turn_step_deg > 0.0 &&
+  ATM_CHECK_MSG(params.altitude_gate_feet > 0.0 && params.band_nm > 0.0 &&
+                    params.horizon_periods > 0.0 &&
+                    params.turn_step_deg > 0.0 &&
                     std::isfinite(params.turn_step_deg) &&
                     params.turn_max_deg > 0.0 &&
                     params.turn_max_deg <= 180.0 &&
@@ -120,7 +128,10 @@ inline void check_task23_params(const Task23Params& params) {
                 "Task23Params out of range: turn_step_deg="
                     << params.turn_step_deg
                     << " turn_max_deg=" << params.turn_max_deg
-                    << " sectors_per_axis=" << params.sectors_per_axis);
+                    << " sectors_per_axis=" << params.sectors_per_axis
+                    << " altitude_gate_feet=" << params.altitude_gate_feet
+                    << " band_nm=" << params.band_nm
+                    << " horizon_periods=" << params.horizon_periods);
 }
 
 /// Tasks 2+3's state contract, checked wherever check_task23_params is:

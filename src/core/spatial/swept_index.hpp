@@ -36,6 +36,10 @@
 // one contiguous slot range — `for_each_run` — that a batch kernel reads
 // with plain vector loads instead of one gather per candidate.
 // `for_each_candidate` visits exactly the ids of those runs, in order.
+// `for_each_cell` reports the same buckets one at a time, and
+// `cell_starts()` every bucket's position range, so a caller can reorder
+// the inside of each bucket (the Tasks 2+3 scan region sorts it by
+// altitude) and still enumerate bucket by bucket in this order.
 //
 // Query boxes: `query` names the buckets a track reaches as a
 // SweptQuery, which depends on the speed only through `reach`. Two
@@ -117,13 +121,9 @@ class SweptIndex {
   /// enumeration early.
   template <typename Fn>
   void for_each_run(const SweptQuery& q, Fn&& fn) const {
-    const std::size_t slab_stride =
-        static_cast<std::size_t>(cols_) * static_cast<std::size_t>(rows_);
     for (int si = q.s0; si <= q.s1; ++si) {
       for (int cy = q.cy0; cy <= q.cy1; ++cy) {
-        const std::size_t row =
-            static_cast<std::size_t>(si) * slab_stride +
-            static_cast<std::size_t>(cy) * static_cast<std::size_t>(cols_);
+        const std::size_t row = row_cells(si, cy);
         const auto begin = static_cast<std::size_t>(
             cell_start_[row + static_cast<std::size_t>(q.cx0)]);
         const auto end = static_cast<std::size_t>(
@@ -138,6 +138,30 @@ class SweptIndex {
   void for_each_run(double xi, double yi, double alti, double speed,
                     Fn&& fn) const {
     for_each_run(query(xi, yi, alti, speed), fn);
+  }
+
+  /// Visit the buckets of `q` one at a time, as bucket-position ranges
+  /// [begin, end), in for_each_run order (each run is its row's buckets,
+  /// columns ascending), empty ones skipped.
+  template <typename Fn>
+  void for_each_cell(const SweptQuery& q, Fn&& fn) const {
+    for (int si = q.s0; si <= q.s1; ++si) {
+      for (int cy = q.cy0; cy <= q.cy1; ++cy) {
+        const std::size_t row = row_cells(si, cy);
+        for (int cx = q.cx0; cx <= q.cx1; ++cx) {
+          const std::size_t c = row + static_cast<std::size_t>(cx);
+          const auto begin = static_cast<std::size_t>(cell_start_[c]);
+          const auto end = static_cast<std::size_t>(cell_start_[c + 1]);
+          if (begin < end) fn(begin, end);
+        }
+      }
+    }
+  }
+
+  /// CSR bucket offsets: bucket c holds bucket positions [cell_starts()[c],
+  /// cell_starts()[c + 1]) of order(), slabs * rows * cols + 1 entries.
+  [[nodiscard]] std::span<const std::int32_t> cell_starts() const {
+    return cell_start_;
   }
 
   /// The ids of for_each_run's runs, one at a time and in the same order.
@@ -168,6 +192,12 @@ class SweptIndex {
   }
   [[nodiscard]] int slab_of(double alt) const {
     return clamped_cell((alt - min_alt_) * inv_slab_, slabs_);
+  }
+  /// Bucket of column 0 in row cy of slab si.
+  [[nodiscard]] std::size_t row_cells(int si, int cy) const {
+    return (static_cast<std::size_t>(si) * static_cast<std::size_t>(rows_) +
+            static_cast<std::size_t>(cy)) *
+           static_cast<std::size_t>(cols_);
   }
 
   double min_x_ = 0.0, min_y_ = 0.0, min_alt_ = 0.0;

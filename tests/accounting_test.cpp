@@ -293,6 +293,74 @@ TEST(Accounting, Task23WorkIsPinnedOverEveryHostPath) {
   }
 }
 
+TEST(Accounting, ShardedTask23ChargesComeFromThePartition) {
+  // Sharded Tasks 2+3 on MIMD at a 300-period horizon, where every
+  // sector's halo is smaller than the fleet: [13]'s sector tasks would
+  // gather and scan only their owned + halo records, and the model is
+  // charged for exactly that. Under brute force each scan reads its
+  // owner sector's candidates and the gathers are the lock charge; under
+  // kGrid the model charges pair_candidates, the shared index's count.
+  using core::spatial::BroadphaseMode;
+  struct Case {
+    BroadphaseMode broadphase;
+    std::uint64_t inner_ops;
+  };
+  const std::array<Case, 2> cases{{
+      {BroadphaseMode::kBruteForce, 3315437},
+      // 331666 while each sector task built its own swept index over its
+      // owned + halo records; the shared index enumerates more.
+      {BroadphaseMode::kGrid, 361345},
+  }};
+  constexpr std::uint64_t kLocked = 7550;
+  constexpr std::uint64_t kHalo = 6050;
+  const std::array<std::uint64_t, 16> owned{
+      90, 85, 94, 95, 105, 99, 93, 104, 100, 104, 76, 97, 94, 85, 92, 87};
+  const std::array<std::uint64_t, 16> candidates{
+      307, 454, 455, 322, 477, 669, 668, 468,
+      473, 653, 652, 447, 323, 447, 439, 296};
+  Scenario scenario = dense_en_route();
+  scenario.task23.horizon_periods = scenario.task23.critical_periods;
+  const airfield::FlightDb fleet =
+      airfield::make_airfield(1500, 7, scenario.setup);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(core::spatial::to_string(c.broadphase)));
+    MimdBackend xeon;
+    obs::RecordingSink sink;
+    xeon.set_trace_sink(&sink);
+    xeon.load(fleet);
+    Task23Params params = scenario.task23;
+    params.broadphase = c.broadphase;
+    params.shard = core::spatial::ShardMode::kSectors;
+    params.sectors_per_axis = 4;
+    const Task23Result r = xeon.run_task23(params);
+    const mimd::WorkCounters& work = xeon.last_work();
+    EXPECT_EQ(work.inner_ops, c.inner_ops);
+    EXPECT_EQ(work.locked_ops, kLocked);
+    EXPECT_EQ(work.parallel_regions, 2u);
+    EXPECT_EQ(r.stats.halo_candidates, kHalo);
+    if (c.broadphase == BroadphaseMode::kGrid) {
+      EXPECT_EQ(work.inner_ops, r.stats.pair_candidates);
+    }
+    std::array<std::uint64_t, 16> got_owned{}, got_candidates{};
+    for (const obs::TraceEvent& ev : sink.events()) {
+      if (ev.kind != obs::EventKind::kCounter) continue;
+      ASSERT_GE(ev.sector, 0);
+      ASSERT_LT(ev.sector, 16);
+      const auto s = static_cast<std::size_t>(ev.sector);
+      if (ev.name == "task23.sector_owned") got_owned[s] = ev.value;
+      if (ev.name == "task23.sector_candidates") got_candidates[s] = ev.value;
+    }
+    EXPECT_EQ(got_owned, owned);
+    EXPECT_EQ(got_candidates, candidates);
+    std::uint64_t gathered = 0;
+    for (std::size_t s = 0; s < 16; ++s) {
+      EXPECT_LT(got_candidates[s], fleet.size()) << "sector " << s;
+      gathered += got_candidates[s];
+    }
+    EXPECT_EQ(work.locked_ops, gathered);
+  }
+}
+
 TEST(Accounting, XeonMultiRadarTask1InputsHaveAClosedForm) {
   // A one-pass frame: phase 1 reads the whole table per return, phase 2
   // is charged as the [13] aircraft-major scan (every return per eligible

@@ -8,7 +8,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numbers>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "src/airfield/setup.hpp"
 #include "src/atm/mimd_backend.hpp"
@@ -82,24 +86,18 @@ reference::DetectOutcome one_at_a_time(const airfield::FlightDb& db,
   return out;
 }
 
-/// The whole table as the task drivers scan it: gathered in the swept
-/// index's bucket order under kGrid, in slot order under brute force.
+/// The whole table as the tasks scan it: one snapshot sorted by
+/// (cell, altitude, id), the swept index's buckets under kGrid and one
+/// cell under brute force.
 struct WholeTable {
-  core::spatial::SweptIndex index;
-  core::kern::SoaSnapshot snap;
+  reference::SortedSnapshot sorted;
   reference::ScanRegion region;
+  const core::spatial::SweptIndex& index = sorted.index();
 
-  WholeTable(const airfield::FlightDb& db, const Task23Params& params,
+  WholeTable(const airfield::FlightDb& db, Task23Params params,
              BroadphaseMode mode) {
-    if (mode == BroadphaseMode::kGrid) {
-      reference::build_swept_index(db, params, index);
-      snap.gather(db, index.order());
-      region.ids = index.order().data();
-      region.index = &index;
-    } else {
-      snap.gather(db);
-    }
-    region.view = snap.view();
+    params.broadphase = mode;
+    region = sorted.build(db, params);
   }
   WholeTable(const WholeTable&) = delete;
   WholeTable& operator=(const WholeTable&) = delete;
@@ -351,6 +349,140 @@ TEST(BroadphaseEquivalence, TrialRebuildsItsGateListWhenTheQueryBoxChanges) {
     }
   }
   EXPECT_GT(rebuilds, 0u) << "no faster trial reached another query box";
+}
+
+/// Aircraft on rings of radius 3 nm around `centres`, each flying at its
+/// ring's centre at 0.04 nm/period: every pair of one ring that passes
+/// the altitude gate meets well inside the critical time. Ring r holds one
+/// aircraft per entry of `alts`, in order, so ids r * alts.size() + k.
+airfield::FlightDb converging_rings(std::span<const double> alts,
+                                    std::span<const core::Vec2> centres) {
+  airfield::FlightDb db(alts.size() * centres.size());
+  const double step = 2.0 * std::numbers::pi / static_cast<double>(alts.size());
+  std::size_t i = 0;
+  for (const core::Vec2& c : centres) {
+    for (std::size_t k = 0; k < alts.size(); ++k, ++i) {
+      const double a = step * static_cast<double>(k);
+      db.x[i] = c.x + 3.0 * std::cos(a);
+      db.y[i] = c.y + 3.0 * std::sin(a);
+      db.dx[i] = -0.04 * std::cos(a);
+      db.dy[i] = -0.04 * std::sin(a);
+      db.alt[i] = alts[k];
+    }
+  }
+  return db;
+}
+
+TEST(BroadphaseEquivalence, GateWindowEdgesMatchOneAtATime) {
+  // Altitudes where the gate window's binary searches could go wrong by
+  // one lane or read past the query's slabs: partners exactly one gate
+  // away and one ulp inside and outside it, ties across ids, signed
+  // zeros, opposite-sign altitudes whose difference rounds at the gate,
+  // slab boundaries and slabs beyond the index's cap, and a multi-cell
+  // swept grid. Detection and every trial must consume the lanes of the
+  // one-at-a-time loop under both broadphases and both kernels.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double a = 12000.0;
+  const double g = 1000.0;
+  const std::vector<double> edges{
+      a, a + g, a - g, std::nextafter(a + g, 0.0),
+      std::nextafter(a + g, kInf), std::nextafter(a - g, kInf),
+      std::nextafter(a - g, 0.0), a + g / 2, a, a - g / 2, a + 2 * g, a};
+  const std::vector<double> ties{9000.0, 9500.0, 9000.0, 10000.0,
+                                 9000.0, 9500.0, 8000.0, 9000.0,
+                                 10000.0, 9500.0, 9000.0, 8500.0};
+  const std::vector<double> zeros{0.0,
+                                  -0.0,
+                                  g,
+                                  -g,
+                                  0.0,
+                                  std::nextafter(g, 0.0),
+                                  std::nextafter(-g, 0.0),
+                                  -0.0,
+                                  g / 2,
+                                  -g / 2,
+                                  std::nextafter(0.0, 1.0),
+                                  std::nextafter(-0.0, -1.0)};
+  // alt_i - alt_j = g + 0.1 * (m_i - m_j) up to rounding, which decides
+  // the m_i == m_j pairs; the 1e13 scale repeats that at a 1e13 ft gate.
+  std::vector<double> rounding;
+  for (int m = -3; m <= 3; ++m) {
+    rounding.push_back(g / 2 + 0.1 * m);
+    rounding.push_back(-(g / 2 - 0.1 * m));
+  }
+  std::vector<double> rounding_large;
+  for (const double alt : rounding) rounding_large.push_back(alt * 1e13);
+  // Slab boundaries on a 0 ft floor, and altitudes past 1024 slabs, which
+  // the index clamps into its top slab.
+  const std::vector<double> slabs{0.0,
+                                  g,
+                                  2 * g,
+                                  3 * g,
+                                  std::nextafter(2 * g, 0.0),
+                                  std::nextafter(2 * g, kInf),
+                                  1500 * g,
+                                  1500 * g + g / 2,
+                                  std::nextafter(1501 * g, 0.0),
+                                  1501 * g,
+                                  5e8,
+                                  5e8 + 1.0};
+  // Over a -36210.392348037625 ft floor with a 123.456 ft gate, the
+  // last two pass the gate but their slabs round to 819 and 821: neither
+  // is in the other's query, so a grid scan must not read the pair.
+  const double straddle_g = 123.456;
+  const std::vector<double> straddle{-36210.392348037625,
+                                     65023.52765196236,
+                                     65146.98365196236,
+                                     65085.0,
+                                     65023.52765196236 - straddle_g / 2,
+                                     65146.98365196236 + straddle_g / 2};
+
+  struct Fleet {
+    const char* name;
+    const std::vector<double>& alts;
+    double gate;
+    double horizon;
+    std::vector<core::Vec2> centres;
+  };
+  const std::vector<core::Vec2> one{{10.0, -20.0}};
+  const Task23Params defaults;
+  const std::vector<Fleet> fleets{
+      {"edges", edges, g, defaults.horizon_periods, one},
+      {"ties", ties, g, defaults.horizon_periods, one},
+      {"zeros", zeros, g, defaults.horizon_periods, one},
+      {"rounding", rounding, g, defaults.horizon_periods, one},
+      {"rounding_1e13", rounding_large, g * 1e13, defaults.horizon_periods,
+       one},
+      {"slabs", slabs, g, defaults.horizon_periods, one},
+      {"slab_straddle", straddle, straddle_g, defaults.horizon_periods, one},
+      // A 100-period horizon over rings 180 nm apart: a multi-cell grid.
+      {"multi_cell", edges, g, 100.0,
+       {{-90.0, -90.0}, {90.0, -90.0}, {-90.0, 90.0}, {90.0, 90.0}}},
+  };
+  std::size_t early_stops = 0;
+  for (const Fleet& f : fleets) {
+    const airfield::FlightDb db = converging_rings(f.alts, f.centres);
+    Task23Params params;
+    params.altitude_gate_feet = f.gate;
+    params.horizon_periods = f.horizon;
+    if (std::string(f.name) == "multi_cell") {
+      const WholeTable table(db, params, BroadphaseMode::kGrid);
+      ASSERT_GT(table.index.cols(), 1);
+    }
+    for (const auto kernel :
+         {core::kern::KernelMode::kScalar, core::kern::KernelMode::kAvx2}) {
+      params.kernel = kernel;
+      for (const auto mode :
+           {BroadphaseMode::kBruteForce, BroadphaseMode::kGrid}) {
+        early_stops += expect_scan_lane_order(
+            db, params, mode,
+            std::string(f.name) + "/" +
+                std::string(core::kern::to_string(kernel)) + "/" +
+                std::string(core::spatial::to_string(mode)));
+      }
+    }
+  }
+  EXPECT_GT(early_stops, 0u) << "no trial scan stopped early";
 }
 
 TEST(BroadphaseEquivalence, ScenarioModeReachesBothParamBundles) {

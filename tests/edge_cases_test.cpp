@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -280,8 +281,11 @@ TEST(EdgeCasesDeathTest, Task1ParamsOutsideTheContractAbort) {
 TEST(EdgeCasesDeathTest, Task23ParamsOutsideTheContractAbort) {
   // The trial count is 2 * floor(max / step) cast to int: a zero, NaN or
   // tiny step overflows the cast (undefined behaviour), and a turn past
-  // 180 degrees is no longer a turn. The head-on pair makes both
-  // aircraft critical, so every run would reach the trial rotations.
+  // 180 degrees is no longer a turn. A non-positive gate leaves an
+  // aircraft outside its own gate, which the scans' counters assume it is
+  // in, and a non-positive band or horizon makes every window empty. The
+  // head-on pair makes both aircraft critical, so every run would reach
+  // the trial rotations.
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";  // MimdBackend pool
   airfield::FlightDb fleet(2);
   fleet.x[0] = 0.0;
@@ -291,18 +295,41 @@ TEST(EdgeCasesDeathTest, Task23ParamsOutsideTheContractAbort) {
   fleet.alt[0] = fleet.alt[1] = 9000.0;
 
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const struct {
-    double turn_step_deg;
-    double turn_max_deg;
-    const char* context;
-  } bad[] = {{0.0, 30.0, "turn_step_deg=0 turn_max_deg=30"},
-             {nan, 30.0, "turn_step_deg=-?nan turn_max_deg=30"},
-             {1e-12, 30.0, "turn_step_deg=1e-12 turn_max_deg=30"},
-             {5.0, 181.0, "turn_step_deg=5 turn_max_deg=181"}};
-  for (const auto& b : bad) {
+  struct Bad {
     Task23Params params;
-    params.turn_step_deg = b.turn_step_deg;
-    params.turn_max_deg = b.turn_max_deg;
+    std::string context;
+  };
+  std::vector<Bad> bad;
+  const auto turns = [](double step, double max) {
+    Task23Params params;
+    params.turn_step_deg = step;
+    params.turn_max_deg = max;
+    return params;
+  };
+  bad.push_back({turns(0.0, 30.0), "turn_step_deg=0 turn_max_deg=30"});
+  bad.push_back({turns(nan, 30.0), "turn_step_deg=-?nan turn_max_deg=30"});
+  bad.push_back({turns(1e-12, 30.0), "turn_step_deg=1e-12 turn_max_deg=30"});
+  bad.push_back({turns(5.0, 181.0), "turn_step_deg=5 turn_max_deg=181"});
+  const struct {
+    double Task23Params::*field;
+    const char* name;
+  } positive[] = {{&Task23Params::altitude_gate_feet, "altitude_gate_feet"},
+                  {&Task23Params::band_nm, "band_nm"},
+                  {&Task23Params::horizon_periods, "horizon_periods"}};
+  for (const auto& f : positive) {
+    for (const auto& [value, text] : {std::pair{0.0, "0"},
+                                      std::pair{-1.0, "-1"},
+                                      std::pair{nan, "-?nan"}}) {
+      Task23Params params;
+      params.*f.field = value;
+      bad.push_back({params, std::string(".* ") + f.name + "=" + text});
+    }
+  }
+  for (const Bad& b : bad) {
+    const Task23Params& params = b.params;
+    Task23Params sharded = params;
+    sharded.shard = core::spatial::ShardMode::kSectors;
+    sharded.sectors_per_axis = 4;
     const std::string want =
         std::string("ATM_CHECK failed: .*\n  at .*task_types\\.hpp:[0-9]+\n"
                     "  context: Task23Params out of range: ") +
@@ -319,6 +346,13 @@ TEST(EdgeCasesDeathTest, Task23ParamsOutsideTheContractAbort) {
           MimdBackend mimd;
           mimd.load(fleet);
           (void)mimd.run_task23(params);
+        },
+        want);
+    EXPECT_DEATH(
+        {
+          MimdBackend mimd;
+          mimd.load(fleet);
+          (void)mimd.run_task23(sharded);
         },
         want);
     EXPECT_DEATH(
@@ -447,6 +481,48 @@ TEST(EdgeCasesDeathTest, NonFiniteMotionStateAborts) {
           (void)staran->run_task23({});
         },
         want);
+  }
+}
+
+TEST(EdgeCasesDeathTest, NonFiniteTerrainInputsAbort) {
+  // A non-finite sample position reaches TerrainMap::elevation_at's cast
+  // of its cell coordinate to int: std::clamp passes NaN through, the
+  // cast is undefined behaviour, and a Release build read out of bounds.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";  // MimdBackend pool
+  const airfield::FlightDb fleet = airfield::make_airfield(10, 1);
+  const auto terrain = std::make_shared<const airfield::TerrainMap>(5);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* field;
+    std::string want;
+  } bad[] = {{"x", "non-finite motion state: aircraft 3"},
+             {"dy", "non-finite motion state: aircraft 3"},
+             {"horizon_periods",
+              "TerrainTaskParams out of range: horizon_periods=-?nan"}};
+  for (const auto& b : bad) {
+    airfield::FlightDb db = fleet;
+    TerrainTaskParams params;
+    const std::string field = b.field;
+    if (field == "x") db.x[3] = nan;
+    if (field == "dy") db.dy[3] = inf;
+    if (field == "horizon_periods") params.horizon_periods = nan;
+    const std::string want =
+        "ATM_CHECK failed: .*\n  at .*(task|ext)_types\\.hpp:[0-9]+\n"
+        "  context: " +
+        b.want;
+    SCOPED_TRACE(field);
+    for (const auto make :
+         {make_reference, make_xeon, make_titan_x_pascal, make_staran}) {
+      EXPECT_DEATH(
+          {
+            const std::unique_ptr<Backend> backend = make();
+            backend->load(db);
+            backend->set_terrain(terrain);
+            (void)backend->run_terrain(params);
+          },
+          want);
+    }
   }
 }
 

@@ -1,7 +1,7 @@
-// Sharded vs unsharded equivalence: splitting the host hot paths into
-// per-sector thread-pool tasks must not change a single task outcome.
-// For every named scenario, every sector count, and both broadphase
-// modes (sharding composes with the per-sector indexes), the sharded
+// Sharded vs unsharded equivalence: splitting Task 1 into per-sector
+// thread-pool tasks, and charging Tasks 2+3 by sector, must not change a
+// single task outcome. For every named scenario, every sector count, and
+// both broadphase modes (sharding composes with the indexes), the sharded
 // runs must produce identical outcome() counters and bit-identical
 // post-run flight state on both host execution paths (sequential
 // reference and the MIMD thread pool). Only the *Work fields may differ —

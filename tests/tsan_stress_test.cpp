@@ -187,8 +187,9 @@ TEST_P(TsanStressMimdTasks, FullTaskSetOnSharedDb) {
 }
 
 TEST_P(TsanStressMimdTasks, ShardedTaskSetGathersSnapshotsConcurrently) {
-  // The sector-sharded executive runs per-sector snapshot gathers racing
-  // against nothing but each other, then commits through the pool. Drive
+  // The sector-sharded executive runs Task 1's per-sector snapshot
+  // gathers racing against nothing but each other, and Tasks 2+3's pool
+  // tasks over the one shared region, then commits through the pool. Drive
   // it under both broadphase modes with a live trace sink so the
   // per-sector counter emission path runs too, and cross-check outcomes
   // against the monolithic scan so TSan noise can never hide a lost
